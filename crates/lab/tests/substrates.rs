@@ -38,6 +38,22 @@ fn small_substrate(kind: SubstrateKind, seed: u64) -> Box<dyn Substrate<[f64; 2]
     )
 }
 
+/// A 4×4 in-process cluster at 2 ms ticks with K = 3.
+fn live_cluster(seed: u64) -> Box<dyn Substrate<[f64; 2]>> {
+    let mut cfg = LabConfig::default();
+    cfg.area = 16.0;
+    cfg.seed = seed;
+    cfg.tick = Duration::from_millis(2);
+    cfg.poly = PolystyreneConfig::builder().replication(3).build();
+    cfg.round_timeout = Duration::from_secs(5);
+    build_substrate(
+        SubstrateKind::Cluster,
+        Torus2::new(4.0, 4.0),
+        shapes::torus_grid(4, 4, 1.0),
+        &cfg,
+    )
+}
+
 #[test]
 fn paper_script_population_arithmetic_on_deterministic_substrates() {
     let p = PaperScenario::small();
@@ -203,18 +219,7 @@ fn injected_netsim_nodes_attract_points() {
 
 #[test]
 fn scripted_kill_and_inject_apply_on_the_live_cluster() {
-    let mut cfg = LabConfig::default();
-    cfg.area = 16.0;
-    cfg.seed = 1;
-    cfg.tick = Duration::from_millis(2);
-    cfg.poly = PolystyreneConfig::builder().replication(3).build();
-    cfg.round_timeout = Duration::from_secs(5);
-    let mut substrate = build_substrate(
-        SubstrateKind::Cluster,
-        Torus2::new(4.0, 4.0),
-        shapes::torus_grid(4, 4, 1.0),
-        &cfg,
-    );
+    let mut substrate = live_cluster(1);
     let scenario: Scenario<[f64; 2]> = Scenario::new(8)
         .at(
             2,
@@ -233,18 +238,7 @@ fn scripted_kill_and_inject_apply_on_the_live_cluster() {
 
 #[test]
 fn churn_window_shrinks_the_live_cluster() {
-    let mut cfg = LabConfig::default();
-    cfg.area = 16.0;
-    cfg.seed = 2;
-    cfg.tick = Duration::from_millis(2);
-    cfg.poly = PolystyreneConfig::builder().replication(3).build();
-    cfg.round_timeout = Duration::from_secs(5);
-    let mut substrate = build_substrate(
-        SubstrateKind::Cluster,
-        Torus2::new(4.0, 4.0),
-        shapes::torus_grid(4, 4, 1.0),
-        &cfg,
-    );
+    let mut substrate = live_cluster(2);
     let scenario: Scenario<[f64; 2]> = Scenario::new(6).at(
         1,
         ScenarioEvent::Churn {
@@ -330,21 +324,9 @@ fn traffic_load_does_not_perturb_the_scenario_plane() {
 
 #[test]
 fn traffic_load_flows_on_the_live_cluster() {
-    let mut cfg = LabConfig::default();
-    cfg.area = 16.0;
-    cfg.seed = 3;
-    cfg.tick = Duration::from_millis(2);
-    cfg.poly = PolystyreneConfig::builder().replication(3).build();
-    cfg.round_timeout = Duration::from_secs(5);
-    let shape = shapes::torus_grid(4, 4, 1.0);
-    let mut substrate = build_substrate(
-        SubstrateKind::Cluster,
-        Torus2::new(4.0, 4.0),
-        shape.clone(),
-        &cfg,
-    );
+    let mut substrate = live_cluster(3);
     let scenario: Scenario<[f64; 2]> = Scenario::new(10);
-    let mut load = TrafficLoad::new(shape, 8, 0.8, 6, 3);
+    let mut load = TrafficLoad::new(shapes::torus_grid(4, 4, 1.0), 8, 0.8, 6, 3);
     let trace = run_experiment_with_traffic(substrate.as_mut(), &scenario, Some(&mut load));
     let offered: u64 = trace.observations.iter().map(|o| o.traffic.offered).sum();
     let delivered: u64 = trace.observations.iter().map(|o| o.traffic.delivered).sum();

@@ -1,74 +1,88 @@
-//! Cluster harness: spawns node threads, injects crashes and fresh
-//! joiners, observes global health, and shuts everything down.
+//! The live deployment: spawns node threads over a [`ClusterFabric`],
+//! injects crashes and fresh joiners, offers traffic, observes global
+//! health, and shuts everything down — one implementation for every
+//! fabric.
+//!
+//! The crash contract is the same on every fabric. [`LiveCluster::kill`]
+//! removes the node from the node table, detaches it from the fabric,
+//! sends it `Shutdown` and clears its board entry, then returns without
+//! waiting for its threads: a crash-stop victim gets no say in how long
+//! its crash takes (a node mid-write to another dead peer can take a
+//! full socket timeout to notice), so killing a region costs
+//! milliseconds while the survivors' clocks run. The dying threads are
+//! joined at [`LiveCluster::shutdown`]. Until they exit they may publish
+//! one last report, so [`LiveCluster::observe`] and
+//! [`LiveCluster::await_ticks`] count registered nodes only.
 
 use crate::config::RuntimeConfig;
-use crate::fabric::RegistryFabric;
-use crate::harness::{contacts_from_board, contacts_from_shape};
+use crate::fabric::ClusterFabric;
 use crate::message::Message;
 use crate::node::NodeRuntime;
-use crate::observe::{observe, ObservationBoard};
+use crate::observe::{observe, NodeReport, ObservationBoard};
 use crate::registry::Registry;
 use crate::traffic::GatewayTraffic;
+use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_protocol::observe::RoundObservation;
-use polystyrene_protocol::select_region_victims;
+use polystyrene_protocol::{sample_bootstrap_contacts, select_region_victims};
 use polystyrene_space::MetricSpace;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
-use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// A running Polystyrene deployment: one thread per node.
+/// The in-process deployment: mailboxes through the shared [`Registry`].
+pub type Cluster<S> = LiveCluster<S, Registry<<S as MetricSpace>::Point>>;
+
+/// Everything the deployment keeps per alive node.
+struct LiveNode<P> {
+    mailbox: Sender<Message<P>>,
+    /// Admission gauge shared with the node thread: queries offered into
+    /// the mailbox but not yet handled, bounding gateway ingress.
+    ingress: Arc<AtomicUsize>,
+    /// The node thread plus any thread the fabric started for the node.
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// A running Polystyrene deployment: one thread per node, messages
+/// carried by the fabric `F`.
 ///
 /// See the crate-level docs for an end-to-end example.
-pub struct Cluster<S: MetricSpace> {
+pub struct LiveCluster<S: MetricSpace, F: ClusterFabric<S::Point>> {
     space: S,
     config: RuntimeConfig,
-    registry: Arc<Registry<S::Point>>,
+    fabric: Arc<F>,
     board: Arc<ObservationBoard<S::Point>>,
     original_points: Vec<DataPoint<S::Point>>,
-    handles: Mutex<HashMap<NodeId, JoinHandle<()>>>,
-    next_id: Mutex<u64>,
+    nodes: Mutex<HashMap<NodeId, LiveNode<S::Point>>>,
+    /// Threads of killed nodes, joined at shutdown.
+    graveyard: Mutex<Vec<JoinHandle<()>>>,
+    next_id: AtomicU64,
+    /// Bootstrap-contact entropy for founders and joiners.
     rng: Mutex<StdRng>,
     /// Traffic-plane offer state: the dedicated gateway-draw stream,
     /// the qid counter, the cumulative shed count and the batching
-    /// scratch, shared with the TCP deployment via [`GatewayTraffic`].
+    /// scratch.
     traffic: Mutex<GatewayTraffic>,
-    /// Per-gateway admission gauges (queries accepted into a mailbox
-    /// but not yet handled by its node thread); the offer path sheds
-    /// against these instead of flooding a slow node.
-    ingress: Mutex<HashMap<NodeId, Arc<AtomicUsize>>>,
 }
 
-impl<S: MetricSpace> Cluster<S> {
+impl<S: MetricSpace, F: ClusterFabric<S::Point>> LiveCluster<S, F> {
     /// Spawns one node per position of `shape`, each founding the data
     /// point at its position.
     ///
     /// # Panics
     ///
-    /// Panics if `shape` is empty or the configuration is invalid.
-    pub fn spawn(space: S, shape: Vec<S::Point>, config: RuntimeConfig) -> Self {
+    /// Panics if `shape` is empty, the configuration is invalid, or the
+    /// fabric cannot attach a node (e.g. no loopback listener to bind).
+    pub fn spawn(space: S, shape: Vec<S::Point>, config: F::Config) -> Self {
         assert!(!shape.is_empty(), "cannot spawn an empty cluster");
-        config.validate();
-        let registry: Arc<Registry<S::Point>> = Registry::new();
-        if config.link.loss > 0.0 {
-            // Same fault model as the discrete-event simulator, driving
-            // the registry's transit-loss hook. Loss is the only link
-            // parameter the runtime honors, so the hook — a per-send
-            // lock — is installed only when it can actually drop
-            // something; a lossless profile (even with latency set)
-            // keeps the hot path lock-free.
-            registry.install_network(Box::new(polystyrene_protocol::FaultyNetwork::new(
-                config.link,
-                config.seed ^ 0x6c6f_7373, // "loss": decouple from node rngs
-            )));
-        }
-        let board: Arc<ObservationBoard<S::Point>> = ObservationBoard::new();
+        let fabric = Arc::new(F::build(&config));
+        let config = F::runtime(&config);
         let original_points: Vec<DataPoint<S::Point>> = shape
             .iter()
             .enumerate()
@@ -77,24 +91,26 @@ impl<S: MetricSpace> Cluster<S> {
         let cluster = Self {
             space,
             config,
-            registry,
-            board,
-            original_points: original_points.clone(),
-            handles: Mutex::new(HashMap::new()),
-            next_id: Mutex::new(shape.len() as u64),
+            fabric,
+            board: ObservationBoard::new(),
+            original_points,
+            nodes: Mutex::new(HashMap::new()),
+            graveyard: Mutex::new(Vec::new()),
+            next_id: AtomicU64::new(shape.len() as u64),
             rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
             traffic: Mutex::new(GatewayTraffic::new(config.seed)),
-            ingress: Mutex::new(HashMap::new()),
         };
-        for (i, pos) in shape.iter().enumerate() {
-            let contacts = {
-                let mut rng = cluster.rng.lock();
-                contacts_from_shape(&shape, i, cluster.config.bootstrap_contacts, &mut rng)
-            };
+        for (i, origin) in cluster.original_points.iter().enumerate() {
+            let contacts = contacts_from_shape(
+                &shape,
+                i,
+                config.bootstrap_contacts,
+                &mut cluster.rng.lock(),
+            );
             cluster.spawn_node(
                 NodeId::new(i as u64),
-                Some(original_points[i].clone()),
-                pos.clone(),
+                Some(origin.clone()),
+                origin.pos.clone(),
                 contacts,
             );
         }
@@ -109,9 +125,10 @@ impl<S: MetricSpace> Cluster<S> {
         contacts: Vec<Descriptor<S::Point>>,
     ) {
         let (tx, rx) = crossbeam::channel::unbounded();
-        self.registry.register(id, tx);
+        // Attach before the node runs: a peer that learns of this node
+        // can reach it from the first tick.
+        let (link, fabric_thread) = F::attach(&self.fabric, id, tx.clone());
         let ingress = Arc::new(AtomicUsize::new(0));
-        self.ingress.lock().insert(id, Arc::clone(&ingress));
         let node = NodeRuntime::new(
             id,
             self.space.clone(),
@@ -119,58 +136,64 @@ impl<S: MetricSpace> Cluster<S> {
             origin,
             position,
             contacts,
-            Box::new(RegistryFabric::new(id, Arc::clone(&self.registry))),
+            link,
             Arc::clone(&self.board),
             rx,
-            ingress,
+            Arc::clone(&ingress),
         );
-        let handle = std::thread::Builder::new()
+        let node_thread = std::thread::Builder::new()
             .name(format!("poly-{id}"))
             .spawn(move || node.run())
             .expect("failed to spawn node thread");
-        self.handles.lock().insert(id, handle);
-    }
-
-    /// The original data points (the target shape).
-    pub fn original_points(&self) -> &[DataPoint<S::Point>] {
-        &self.original_points
+        self.nodes.lock().insert(
+            id,
+            LiveNode {
+                mailbox: tx,
+                ingress,
+                threads: std::iter::once(node_thread).chain(fabric_thread).collect(),
+            },
+        );
     }
 
     /// Ids currently registered (alive).
     pub fn alive_ids(&self) -> Vec<NodeId> {
-        self.registry.ids()
+        self.nodes.lock().keys().copied().collect()
+    }
+
+    /// Whether `id` is currently alive (registered).
+    pub fn is_alive(&self, id: NodeId) -> bool {
+        self.nodes.lock().contains_key(&id)
     }
 
     /// Protocol messages lost in transit by the injected link faults
     /// (zero on an ideal link).
     pub fn injected_drops(&self) -> u64 {
-        self.registry.injected_drops()
+        self.fabric.injected_drops()
     }
 
-    /// Hard-crashes a node: deregisters it (its mailbox contents are
-    /// lost to peers) and stops its thread. No goodbye messages — peers
-    /// must notice via heartbeat timeouts. Returns whether the node was
-    /// alive.
+    /// Protocol frames written to a socket so far (zero on a fabric
+    /// without sockets).
+    pub fn sent_frames(&self) -> u64 {
+        self.fabric.sent_frames()
+    }
+
+    /// Hard-crashes a node: deregisters it, sends it `Shutdown` and
+    /// removes it from the observation board, without waiting for its
+    /// threads (see the module docs). No goodbye messages — peers must
+    /// notice via failed deliveries and heartbeat timeouts. Sends to the
+    /// node fail from now on; what was already queued in its mailbox is
+    /// handled before the `Shutdown`. Returns whether the node was alive.
     pub fn kill(&self, id: NodeId) -> bool {
-        let handle = self.handles.lock().remove(&id);
-        match handle {
-            Some(handle) => {
-                // Deregister first so no further protocol messages reach it,
-                // then stop the thread.
-                self.registry.send(id, Message::Shutdown);
-                self.registry.deregister(id);
-                self.ingress.lock().remove(&id);
-                let _ = handle.join();
-                self.board.remove(id);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Whether `id` is currently alive (registered).
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        self.registry.contains(id)
+        let Some(node) = self.nodes.lock().remove(&id) else {
+            return false;
+        };
+        // Detach first: probes and delivery reports turn negative before
+        // the node even stops.
+        self.fabric.detach(id);
+        let _ = node.mailbox.send(Message::Shutdown);
+        self.graveyard.lock().extend(node.threads);
+        self.board.remove(id);
+        true
     }
 
     /// Crashes every founding node whose original data point satisfies
@@ -187,22 +210,13 @@ impl<S: MetricSpace> Cluster<S> {
     /// (the paper's Phase 3 joiners), bootstrapped from alive contacts.
     /// Returns its id.
     pub fn inject(&self, position: S::Point) -> NodeId {
-        let id = {
-            let mut next = self.next_id.lock();
-            let id = NodeId::new(*next);
-            *next += 1;
-            id
-        };
-        let alive = self.alive_ids();
-        let contacts: Vec<Descriptor<S::Point>> = {
-            let mut rng = self.rng.lock();
-            contacts_from_board(
-                &alive,
-                &self.board.snapshot(),
-                self.config.bootstrap_contacts,
-                &mut rng,
-            )
-        };
+        let id = NodeId::new(self.next_id.fetch_add(1, Ordering::Relaxed));
+        let contacts = contacts_from_board(
+            &self.alive_ids(),
+            &self.board.snapshot(),
+            self.config.bootstrap_contacts,
+            &mut self.rng.lock(),
+        );
         self.spawn_node(id, None, position, contacts);
         id
     }
@@ -213,30 +227,29 @@ impl<S: MetricSpace> Cluster<S> {
     }
 
     /// Offers one application query per key, each issued through a
-    /// uniformly random alive gateway node. Keys that draw the same
-    /// gateway share one self-addressed
-    /// [`polystyrene_protocol::Wire::QueryBatch`] envelope in its
-    /// mailbox; admission is bounded per gateway
-    /// ([`crate::GATEWAY_INGRESS_BOUND`]), and batches refused at a full
+    /// uniformly random alive gateway. Keys that draw the same gateway
+    /// share one self-addressed
+    /// [`polystyrene_protocol::Wire::QueryBatch`], put straight into the
+    /// gateway's mailbox: a query entering at its gateway is not network
+    /// traffic, so it costs no socket and the transit-loss hook never
+    /// sees it. Every forwarding hop then rides the fabric like any
+    /// other protocol message. Admission is bounded per gateway
+    /// ([`crate::GATEWAY_INGRESS_BOUND`]); batches refused at a full
     /// gateway are *shed* — counted in the observation plane's
     /// `traffic.shed`, separate from queries that expired in flight.
     pub fn offer_traffic(&self, keys: &[S::Point], ttl: u32) {
-        let alive = self.alive_ids();
-        let mut traffic = self.traffic.lock();
-        let ingress = self.ingress.lock();
-        traffic.offer(
+        let nodes = self.nodes.lock();
+        let alive: Vec<NodeId> = nodes.keys().copied().collect();
+        self.traffic.lock().offer(
             keys,
             ttl,
             &alive,
-            |id| ingress.get(&id).cloned(),
+            |id| nodes.get(&id).map(|n| Arc::clone(&n.ingress)),
             |gateway, wire| {
-                self.registry.send(
-                    gateway,
-                    Message::Protocol {
-                        from: gateway,
-                        wire,
-                    },
-                );
+                let _ = nodes[&gateway].mailbox.send(Message::Protocol {
+                    from: gateway,
+                    wire,
+                });
             },
         );
     }
@@ -249,16 +262,17 @@ impl<S: MetricSpace> Cluster<S> {
     /// Blocks until every alive node has executed at least `ticks` local
     /// rounds (with a safety timeout of `max_wait`).
     pub fn await_ticks(&self, ticks: u64, max_wait: Duration) {
-        let deadline = std::time::Instant::now() + max_wait;
+        let deadline = Instant::now() + max_wait;
         loop {
             let obs = self.observe();
-            // Every *registered* node must have published and progressed —
+            // Every registered node must have published and progressed —
             // counting only publishers would return before slow starters
             // ever appear on the board.
-            if obs.alive_nodes >= self.registry.len() && obs.alive_nodes > 0 && obs.ticks >= ticks {
+            let registered = self.nodes.lock().len();
+            if obs.alive_nodes >= registered && obs.alive_nodes > 0 && obs.ticks >= ticks {
                 return;
             }
-            if std::time::Instant::now() > deadline {
+            if Instant::now() > deadline {
                 return;
             }
             std::thread::sleep(self.config.tick);
@@ -266,260 +280,134 @@ impl<S: MetricSpace> Cluster<S> {
     }
 
     /// Measures cluster health from the observation plane, reported as
-    /// the unified [`RoundObservation`] record. The traffic counters are
-    /// cumulative (node threads publish running totals), including the
-    /// offer-side shed count stamped here.
+    /// the unified [`RoundObservation`] record, over registered nodes
+    /// only: a killed node's last report never counts. The traffic
+    /// counters are cumulative (node threads publish running totals),
+    /// including the offer-side shed count stamped here.
     pub fn observe(&self) -> RoundObservation {
+        let mut snapshot = self.board.snapshot();
+        {
+            let nodes = self.nodes.lock();
+            snapshot.retain(|id, _| nodes.contains_key(id));
+        }
         let mut obs = observe(
             &self.space,
             &self.original_points,
-            &self.board.snapshot(),
+            &snapshot,
             self.config.area,
         );
         obs.traffic.shed = self.traffic.lock().shed();
         obs
     }
 
-    /// Orderly shutdown: stops every node thread and joins it.
+    /// Orderly shutdown: kills every node, then joins every thread the
+    /// deployment started, including those of previously killed nodes.
+    /// Threads a fabric does not hand back (per-connection socket
+    /// readers) wind down on their own once their node is detached.
     pub fn shutdown(&self) {
-        let ids: Vec<NodeId> = self.handles.lock().keys().copied().collect();
+        let ids = self.alive_ids();
         for id in ids {
-            self.registry.send(id, Message::Shutdown);
-            self.registry.deregister(id);
+            self.kill(id);
         }
-        let handles: Vec<(NodeId, JoinHandle<()>)> = self.handles.lock().drain().collect();
-        for (_, handle) in handles {
+        let handles: Vec<JoinHandle<()>> = self.graveyard.lock().drain(..).collect();
+        for handle in handles {
             let _ = handle.join();
         }
     }
 }
 
-impl<S: MetricSpace> Drop for Cluster<S> {
+impl<S: MetricSpace, F: ClusterFabric<S::Point>> Drop for LiveCluster<S, F> {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
+/// Draws up to `count` distinct bootstrap contacts for founding node
+/// `own` from the target shape: the contact set every founder's gossip
+/// layers start from.
+fn contacts_from_shape<P: Clone>(
+    shape: &[P],
+    own: usize,
+    count: usize,
+    rng: &mut StdRng,
+) -> Vec<Descriptor<P>> {
+    let n = shape.len();
+    let mut contacts = Vec::new();
+    for _ in 0..count * 2 {
+        if contacts.len() >= count {
+            break;
+        }
+        let j = rng.random_range(0..n);
+        if j != own && !contacts.iter().any(|d: &Descriptor<P>| d.id.index() == j) {
+            contacts.push(Descriptor::new(NodeId::new(j as u64), shape[j].clone()));
+        }
+    }
+    contacts
+}
+
+/// Draws `count` bootstrap contacts for a fresh joiner from the alive
+/// population, with positions resolved through the observation board —
+/// a board-backed view over the one shared sampling path
+/// ([`sample_bootstrap_contacts`]), so what "inject" bootstraps (and
+/// how much entropy it consumes) cannot drift from the deterministic
+/// substrates.
+fn contacts_from_board<P: Clone>(
+    alive: &[NodeId],
+    snapshot: &HashMap<NodeId, NodeReport<P>>,
+    count: usize,
+    rng: &mut StdRng,
+) -> Vec<Descriptor<P>> {
+    sample_bootstrap_contacts(
+        alive,
+        &|id| snapshot.get(&id).map(|r| r.pos.clone()),
+        count,
+        rng,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polystyrene_space::prelude::*;
-    use polystyrene_space::shapes;
 
-    fn fast_config() -> RuntimeConfig {
-        let mut c = RuntimeConfig::default();
-        c.tick = Duration::from_millis(2);
-        c.poly = polystyrene::prelude::PolystyreneConfig::builder()
-            .replication(3)
-            .build();
-        c
-    }
-
-    fn spawn_grid(cols: usize, rows: usize) -> Cluster<Torus2> {
-        Cluster::spawn(
-            Torus2::new(cols as f64, rows as f64),
-            shapes::torus_grid(cols, rows, 1.0),
-            fast_config(),
-        )
+    #[test]
+    fn shape_contacts_exclude_self_and_duplicates() {
+        let shape: Vec<f64> = (0..10).map(|i| i as f64).collect();
+        let mut rng = StdRng::seed_from_u64(1);
+        let contacts = contacts_from_shape(&shape, 3, 5, &mut rng);
+        assert!(contacts.len() <= 5);
+        assert!(contacts.iter().all(|d| d.id.index() != 3));
+        let mut ids: Vec<usize> = contacts.iter().map(|d| d.id.index()).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), contacts.len(), "no duplicate contacts");
     }
 
     #[test]
-    fn cluster_spawns_and_reports() {
-        let cluster = spawn_grid(6, 4);
-        cluster.await_ticks(5, Duration::from_secs(5));
-        let obs = cluster.observe();
-        assert_eq!(obs.alive_nodes, 24);
-        // Migrations may have points in flight at snapshot time; replicas
-        // keep them alive, so survival stays (near) perfect.
-        assert!(
-            obs.surviving_points >= 0.95,
-            "points vanished: {}",
-            obs.surviving_points
+    fn board_contacts_resolve_positions_from_reports() {
+        let mut snapshot: HashMap<NodeId, NodeReport<f64>> = HashMap::new();
+        snapshot.insert(
+            NodeId::new(4),
+            NodeReport {
+                pos: 4.5,
+                guest_ids: Vec::new(),
+                ghost_ids: Vec::new(),
+                parked_ids: Vec::new(),
+                stored_points: 0,
+                ticks: 1,
+                cost_units: 0,
+                traffic_offered: 0,
+                traffic_delivered: 0,
+                traffic_dropped: 0,
+                traffic_samples: Vec::new(),
+            },
         );
-        assert!(obs.ticks >= 5);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn replication_reaches_one_plus_k() {
-        let cluster = spawn_grid(6, 4);
-        cluster.await_ticks(10, Duration::from_secs(5));
-        let obs = cluster.observe();
-        // Every node hosts its own point plus K=3 replicas of others.
-        assert!(
-            obs.points_per_node > 3.0,
-            "replication never took hold: {} points/node",
-            obs.points_per_node
-        );
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn kill_is_crash_stop() {
-        let cluster = spawn_grid(4, 4);
-        cluster.await_ticks(3, Duration::from_secs(5));
-        assert!(cluster.kill(NodeId::new(0)));
-        assert!(!cluster.kill(NodeId::new(0)), "second kill must be a no-op");
-        let obs = cluster.observe();
-        assert_eq!(obs.alive_nodes, 15);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn catastrophic_failure_recovers_points() {
-        let cluster = spawn_grid(8, 4);
-        // Let replication converge first.
-        cluster.await_ticks(12, Duration::from_secs(10));
-        let killed = cluster.kill_region(shapes::in_right_half(8.0));
-        assert_eq!(killed.len(), 16);
-        // Wait for heartbeat timeouts + recovery + migration. Polled with
-        // a generous deadline rather than one fixed sleep: on a loaded CI
-        // box (the whole workspace tests in parallel) thread scheduling
-        // can stretch the detection/recovery pipeline severalfold.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut obs = cluster.observe();
-        while std::time::Instant::now() < deadline {
-            cluster.run_for(Duration::from_millis(100));
-            obs = cluster.observe();
-            if obs.surviving_points > 0.75 && obs.homogeneity < 2.0 {
-                break;
-            }
-        }
-        assert_eq!(obs.alive_nodes, 16);
-        // K=3 over a 50% failure ⇒ ~94% of points expected to survive;
-        // leave slack for heartbeat-detection races.
-        assert!(
-            obs.surviving_points > 0.75,
-            "too many points lost: {}",
-            obs.surviving_points
-        );
-        // And the survivors spread back over the shape.
-        assert!(
-            obs.homogeneity < 2.0,
-            "shape not recovered: homogeneity {}",
-            obs.homogeneity
-        );
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn injection_spawns_empty_joiners() {
-        let cluster = spawn_grid(4, 4);
-        cluster.await_ticks(5, Duration::from_secs(5));
-        let id = cluster.inject([0.5, 0.5]);
-        assert!(id.as_u64() >= 16);
-        cluster.run_for(Duration::from_millis(200));
-        let obs = cluster.observe();
-        assert_eq!(obs.alive_nodes, 17);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn lossy_cluster_still_replicates_and_counts_drops() {
-        let mut config = fast_config();
-        config.link = polystyrene_protocol::LinkProfile {
-            latency: 0,
-            jitter: 0,
-            loss: 0.10,
-        };
-        let cluster = Cluster::spawn(Torus2::new(6.0, 4.0), shapes::torus_grid(6, 4, 1.0), config);
-        cluster.await_ticks(12, Duration::from_secs(10));
-        let obs = cluster.observe();
-        assert_eq!(obs.alive_nodes, 24);
-        assert!(
-            cluster.injected_drops() > 0,
-            "a 10% lossy fabric that dropped nothing is not lossy"
-        );
-        // The protocol absorbs the loss: replication still takes hold and
-        // no point is destroyed (loss can only duplicate, never destroy).
-        assert!(
-            obs.points_per_node > 2.5,
-            "replication never took hold under loss: {} points/node",
-            obs.points_per_node
-        );
-        assert!(
-            obs.surviving_points >= 0.95,
-            "points vanished under transit loss: {}",
-            obs.surviving_points
-        );
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn traffic_queries_resolve_on_the_live_cluster() {
-        let cluster = spawn_grid(6, 4);
-        cluster.await_ticks(10, Duration::from_secs(5));
-        let keys: Vec<[f64; 2]> = (0..6).map(|i| [i as f64 + 0.5, 1.5]).collect();
-        for _ in 0..10 {
-            cluster.offer_traffic(&keys, 32);
-            cluster.run_for(Duration::from_millis(10));
-        }
-        // Every offered query eventually resolves or expires; poll with a
-        // deadline rather than a fixed sleep (loaded CI boxes stretch the
-        // pipeline).
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut obs = cluster.observe();
-        while std::time::Instant::now() < deadline {
-            obs = cluster.observe();
-            if obs.traffic.offered >= 60
-                && obs.traffic.delivered + obs.traffic.dropped >= obs.traffic.offered
-            {
-                break;
-            }
-            cluster.run_for(Duration::from_millis(20));
-        }
-        assert!(
-            obs.traffic.offered >= 60,
-            "gateways must register offered queries: {:?}",
-            obs.traffic
-        );
-        assert!(
-            obs.traffic.availability() > 0.8,
-            "a healthy cluster must serve most queries: {:?}",
-            obs.traffic
-        );
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn oversized_offer_is_shed_at_the_gateway() {
-        use crate::traffic::GATEWAY_INGRESS_BOUND;
-        // One node ⇒ one gateway: a single offer larger than the ingress
-        // bound must be refused whole, deterministically (the gauge
-        // cannot admit it no matter how fast the node drains).
-        let cluster = spawn_grid(1, 1);
-        cluster.await_ticks(2, Duration::from_secs(5));
-        let oversized = GATEWAY_INGRESS_BOUND + 44;
-        let keys = vec![[0.5, 0.5]; oversized];
-        cluster.offer_traffic(&keys, 8);
-        assert_eq!(cluster.shed_queries(), oversized as u64);
-        let obs = cluster.observe();
-        assert_eq!(obs.traffic.shed, oversized as u64);
-        // A batch that fits is admitted and eventually registers.
-        cluster.offer_traffic(&keys[..8], 8);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut obs = cluster.observe();
-        while std::time::Instant::now() < deadline && obs.traffic.offered < 8 {
-            cluster.run_for(Duration::from_millis(10));
-            obs = cluster.observe();
-        }
-        assert!(
-            obs.traffic.offered >= 8,
-            "an in-bound batch must be admitted: {:?}",
-            obs.traffic
-        );
-        assert_eq!(
-            obs.traffic.shed, oversized as u64,
-            "admission must not shed"
-        );
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn shutdown_is_idempotent_and_drop_safe() {
-        let cluster = spawn_grid(3, 3);
-        cluster.shutdown();
-        cluster.shutdown();
-        drop(cluster); // Drop impl must not panic on an empty cluster
+        let mut rng = StdRng::seed_from_u64(2);
+        // Node 9 never published: draws landing on it are skipped.
+        let alive = vec![NodeId::new(4), NodeId::new(9)];
+        let contacts = contacts_from_board(&alive, &snapshot, 8, &mut rng);
+        assert!(!contacts.is_empty());
+        assert!(contacts.iter().all(|d| d.id == NodeId::new(4)));
+        assert!(contacts.iter().all(|d| d.pos == 4.5));
+        assert!(contacts_from_board(&[], &snapshot, 4, &mut rng).is_empty());
     }
 }

@@ -33,11 +33,11 @@ pub struct RuntimeConfig {
     /// Ticks an initiated migration may stay unanswered before the
     /// initiator gives up and unlocks.
     pub migration_timeout_ticks: u32,
-    /// Link-fault injection for the in-process fabric. The runtime honors
-    /// the loss probability (messages silently vanish in transit, via the
-    /// shared [`polystyrene_protocol::NetworkModel`] hook in the
-    /// registry); latency and jitter need a timer fabric and are the
-    /// discrete-event simulator's domain — they are ignored here.
+    /// Link-fault injection. Every fabric honors the loss probability
+    /// (messages silently vanish in transit, via the shared
+    /// [`crate::TransitLoss`] hook); latency and jitter need a timer
+    /// fabric and are the discrete-event simulator's domain — they are
+    /// ignored here.
     pub link: LinkProfile,
     /// Unit prices charged per outbound wire message (paper Sec. IV-A),
     /// tallied by each node thread at its send boundary.

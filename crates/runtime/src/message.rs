@@ -20,44 +20,6 @@ pub enum Message<P> {
         /// The sans-IO payload.
         wire: Wire<P>,
     },
-    /// Orderly termination (used by the harness, not the protocol).
+    /// Orderly termination (sent by [`crate::LiveCluster`], not the protocol).
     Shutdown,
-}
-
-impl<P> Message<P> {
-    /// Short tag for logging and tests.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Message::Protocol { wire, .. } => wire.kind(),
-            Message::Shutdown => "shutdown",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kinds_are_distinct() {
-        let msgs: Vec<Message<f64>> = vec![
-            Message::Protocol {
-                from: NodeId::new(1),
-                wire: Wire::Heartbeat,
-            },
-            Message::Shutdown,
-            Message::Protocol {
-                from: NodeId::new(1),
-                wire: Wire::MigrationReply {
-                    xid: 1,
-                    points: vec![],
-                    busy: false,
-                    pulled: 0,
-                    pushed: 0,
-                },
-            },
-        ];
-        let kinds: Vec<&str> = msgs.iter().map(|m| m.kind()).collect();
-        assert_eq!(kinds, vec!["heartbeat", "shutdown", "migration_reply"]);
-    }
 }

@@ -1,58 +1,46 @@
 //! Shared address book: node id → mailbox sender.
 //!
-//! Plays the role of the network fabric. Senders are cloned out of the
-//! registry per message; sending to a crashed node (receiver dropped or
-//! deregistered) silently loses the message, like a TCP connection reset
-//! under crash-stop.
-//!
-//! An optional [`NetworkModel`] can be installed to inject *transit*
-//! loss on top of the crash-stop semantics: a dropped message vanishes
-//! silently (the sender still sees success — loss in flight is not
-//! observable, unlike a dead mailbox), so live-cluster scenarios can
-//! exercise lossy links through the same model the discrete-event
-//! simulator uses. The runtime honors the loss probability only:
-//! latency would need timers the in-process fabric does not have (a
-//! model's delay is ignored), and no runtime code path installs a
-//! partition mask — scripted [`ScenarioEvent::Partition`] windows are
-//! the discrete-event simulator's domain and are a documented no-op on
-//! a cluster.
-//!
-//! [`ScenarioEvent::Partition`]: polystyrene_protocol::ScenarioEvent::Partition
+//! Plays the role of the network fabric for the in-process deployment.
+//! Senders are cloned out of the registry per message; sending to a
+//! crashed node (receiver dropped or deregistered) silently loses the
+//! message, like a TCP connection reset under crash-stop. Transit loss
+//! on top of that is the shared [`TransitLoss`] hook, applied by each
+//! node's [`crate::RegistryFabric`] before it reaches the registry.
 
+use crate::fabric::TransitLoss;
 use crate::message::Message;
 use crossbeam::channel::Sender;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use polystyrene_membership::NodeId;
-use polystyrene_protocol::{Fate, NetworkModel};
+use polystyrene_protocol::LinkProfile;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// Thread-safe address book shared by every node of a [`crate::Cluster`].
+/// Thread-safe address book shared by every node of an in-process
+/// [`crate::Cluster`].
 pub struct Registry<P> {
     inner: RwLock<HashMap<NodeId, Sender<Message<P>>>>,
-    /// Transit-fault injection, if any. Serialized behind a mutex: the
-    /// model's entropy stream must not interleave racily even though
-    /// sends come from every node thread.
-    network: Mutex<Option<Box<dyn NetworkModel>>>,
-    /// Messages the installed model has dropped in transit.
-    injected_drops: AtomicU64,
+    loss: TransitLoss,
 }
 
 impl<P> Default for Registry<P> {
+    /// A lossless, empty registry.
     fn default() -> Self {
-        Self {
-            inner: RwLock::new(HashMap::new()),
-            network: Mutex::new(None),
-            injected_drops: AtomicU64::new(0),
-        }
+        Self::with_loss(TransitLoss::new(LinkProfile::ideal(), 0))
     }
 }
 
 impl<P> Registry<P> {
-    /// An empty registry behind an `Arc`, ready to share across threads.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
+    /// An empty registry whose nodes send through `loss`.
+    pub fn with_loss(loss: TransitLoss) -> Self {
+        Self {
+            inner: RwLock::new(HashMap::new()),
+            loss,
+        }
+    }
+
+    /// The transit-loss hook the registry's nodes send through.
+    pub fn loss(&self) -> &TransitLoss {
+        &self.loss
     }
 
     /// Registers a node's mailbox.
@@ -66,54 +54,9 @@ impl<P> Registry<P> {
         self.inner.write().remove(&id);
     }
 
-    /// Installs a network model; every subsequent protocol message is
-    /// routed through it (control messages — shutdown — are exempt: the
-    /// harness must always be able to stop a node).
-    pub fn install_network(&self, model: Box<dyn NetworkModel>) {
-        *self.network.lock() = Some(model);
-    }
-
-    /// Protocol messages the installed network model dropped in transit.
-    pub fn injected_drops(&self) -> u64 {
-        self.injected_drops.load(Ordering::Relaxed)
-    }
-
     /// Sends `message` to `to`; returns `false` if the destination is
     /// unknown or its mailbox is gone (message lost, crash-stop style).
-    ///
-    /// The crash-stop contract is unchanged by an installed
-    /// [`NetworkModel`]: a model-injected drop returns `true` when the
-    /// destination exists — transit loss is invisible to the sender,
-    /// only a dead mailbox is observable — so delivery-failure feedback
-    /// (and the purging built on it) stays exactly as accurate as on a
-    /// lossless fabric.
     pub fn send(&self, to: NodeId, message: Message<P>) -> bool {
-        if let Message::Protocol { from, wire } = &message {
-            let dropped = {
-                let mut network = self.network.lock();
-                match network.as_mut() {
-                    Some(model) => {
-                        matches!(model.route(*from, to, wire.channel(), 0), Fate::Drop)
-                    }
-                    None => false,
-                }
-            };
-            if dropped {
-                self.injected_drops.fetch_add(1, Ordering::Relaxed);
-                // Report exactly what the real send path would have: a
-                // registered node whose mailbox receiver is gone (crashed
-                // without deregistering) is observably dead on both
-                // paths. `contains_key` alone answered `true` for such a
-                // node here and `false` below — the crash-stop feedback
-                // (and the view purging built on it) must not depend on
-                // whether the loss draw fired.
-                return self
-                    .inner
-                    .read()
-                    .get(&to)
-                    .is_some_and(|s| !s.is_disconnected());
-            }
-        }
         let sender = self.inner.read().get(&to).cloned();
         match sender {
             Some(s) => s.send(message).is_ok(),
@@ -132,21 +75,6 @@ impl<P> Registry<P> {
             .get(&id)
             .is_some_and(|s| !s.is_disconnected())
     }
-
-    /// Number of registered nodes.
-    pub fn len(&self) -> usize {
-        self.inner.read().len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
-    }
-
-    /// Snapshot of the registered ids.
-    pub fn ids(&self) -> Vec<NodeId> {
-        self.inner.read().keys().copied().collect()
-    }
 }
 
 #[cfg(test)]
@@ -156,116 +84,25 @@ mod tests {
 
     #[test]
     fn register_send_deregister() {
-        let registry: Arc<Registry<f64>> = Registry::new();
+        let registry: Registry<f64> = Registry::default();
         let (tx, rx) = unbounded();
         registry.register(NodeId::new(1), tx);
-        assert_eq!(registry.len(), 1);
         assert!(registry.contains(NodeId::new(1)));
         assert!(!registry.contains(NodeId::new(2)));
         assert!(registry.send(NodeId::new(1), Message::Shutdown));
         assert!(matches!(rx.recv().unwrap(), Message::Shutdown));
         registry.deregister(NodeId::new(1));
+        assert!(!registry.contains(NodeId::new(1)));
         assert!(!registry.send(NodeId::new(1), Message::Shutdown));
-        assert!(registry.is_empty());
-    }
-
-    #[test]
-    fn send_to_unknown_is_lost_not_fatal() {
-        let registry: Arc<Registry<f64>> = Registry::new();
-        assert!(!registry.send(NodeId::new(42), Message::Shutdown));
     }
 
     #[test]
     fn send_to_dropped_receiver_reports_loss() {
-        let registry: Arc<Registry<f64>> = Registry::new();
+        let registry: Registry<f64> = Registry::default();
         let (tx, rx) = unbounded();
         registry.register(NodeId::new(1), tx);
         drop(rx); // the node crashed without deregistering
         assert!(!registry.send(NodeId::new(1), Message::Shutdown));
-    }
-
-    #[test]
-    fn ids_snapshot() {
-        let registry: Arc<Registry<f64>> = Registry::new();
-        let (tx, _rx) = unbounded();
-        registry.register(NodeId::new(7), tx);
-        assert_eq!(registry.ids(), vec![NodeId::new(7)]);
-    }
-
-    #[test]
-    fn injected_loss_is_silent_but_counted() {
-        use polystyrene_protocol::{FaultyNetwork, LinkProfile, Wire};
-        let registry: Arc<Registry<f64>> = Registry::new();
-        let (tx, rx) = unbounded();
-        registry.register(NodeId::new(1), tx);
-        registry.install_network(Box::new(FaultyNetwork::new(
-            LinkProfile {
-                latency: 0,
-                jitter: 0,
-                loss: 1.0, // everything vanishes in transit
-            },
-            0,
-        )));
-        let delivered = registry.send(
-            NodeId::new(1),
-            Message::Protocol {
-                from: NodeId::new(0),
-                wire: Wire::Heartbeat,
-            },
-        );
-        assert!(
-            delivered,
-            "transit loss must be invisible to the sender (the mailbox exists)"
-        );
-        assert_eq!(registry.injected_drops(), 1);
-        assert!(rx.try_recv().is_err(), "the message must not arrive");
-        // Crash-stop reporting stays exact: a dead mailbox is observable
-        // even while the model is dropping everything.
-        assert!(!registry.send(
-            NodeId::new(9),
-            Message::Protocol {
-                from: NodeId::new(0),
-                wire: Wire::Heartbeat,
-            },
-        ));
-        // Control messages bypass the model entirely.
-        assert!(registry.send(NodeId::new(1), Message::Shutdown));
-        assert!(matches!(rx.recv().unwrap(), Message::Shutdown));
-    }
-
-    #[test]
-    fn crash_stop_reporting_is_consistent_under_injected_loss() {
-        use polystyrene_protocol::{FaultyNetwork, LinkProfile, Wire};
-        let registry: Arc<Registry<f64>> = Registry::new();
-        let (tx, rx) = unbounded();
-        registry.register(NodeId::new(1), tx);
-        drop(rx); // crashed without deregistering: still in the book
-        let protocol = || Message::Protocol {
-            from: NodeId::new(0),
-            wire: Wire::Heartbeat,
-        };
-        // Real send path: the dead mailbox is observable.
-        assert!(!registry.send(NodeId::new(1), protocol()));
-        // Reachability probes agree: registered-but-dead is dead.
-        assert!(
-            !registry.contains(NodeId::new(1)),
-            "a probe must not report a crashed node reachable while sends report it dead"
-        );
-        // Injected-drop path must report the same verdict, not
-        // `contains_key` (which would say `true` and suppress the
-        // PeerUnreachable feedback the failure detector relies on).
-        registry.install_network(Box::new(FaultyNetwork::new(
-            LinkProfile {
-                latency: 0,
-                jitter: 0,
-                loss: 1.0,
-            },
-            0,
-        )));
-        assert!(
-            !registry.send(NodeId::new(1), protocol()),
-            "a crashed-but-registered node must be reported dead on the drop path too"
-        );
-        assert_eq!(registry.injected_drops(), 1);
+        assert!(!registry.contains(NodeId::new(1)));
     }
 }

@@ -1,9 +1,8 @@
-//! The live clusters' shared traffic-plane gateway: batched query
-//! injection with bounded-ingress backpressure.
+//! The live cluster's traffic-plane gateway: batched query injection
+//! with bounded-ingress backpressure.
 //!
-//! Both wall-clock deployments (the in-process [`crate::Cluster`] and
-//! the TCP one) inject application queries the same way: draw a
-//! uniformly random alive gateway per key, group the keys that drew the
+//! [`crate::LiveCluster`] injects application queries the same way over
+//! every fabric: draw a uniformly random alive gateway per key, group the keys that drew the
 //! same gateway into one self-addressed [`Wire::QueryBatch`], and admit
 //! the batch only if the gateway's ingress gauge has room. The gauge
 //! counts queries accepted into the gateway's mailbox but not yet

@@ -1,0 +1,384 @@
+//! The TCP fabric: the unchanged `ProtocolNode` stack as
+//! socket-connected processes-in-miniature on localhost.
+//!
+//! Every node owns a real `TcpListener`; every protocol message is one
+//! length-framed codec payload ([`crate::framing`]) on a cached per-peer
+//! `TcpStream`. Everything else — the node loop, spawn, crash, offer and
+//! observe — is `polystyrene-runtime`'s [`LiveCluster`] verbatim; only
+//! the [`ClusterFabric`] differs, so any behavioral gap between the
+//! in-process cluster and this one is a *wire* bug by construction,
+//! which is exactly what this substrate exists to surface.
+//!
+//! Failure semantics are crash-stop, carried by the sockets themselves:
+//! detaching a node closes its listener and winds down its readers, so a
+//! peer's next send hits a reset or a refused reconnect, reports
+//! delivery failure, and feeds the same `Event::PeerUnreachable` purge
+//! path every other substrate uses. The runtime's [`TransitLoss`] hook
+//! is honored at the send boundary, as on the in-process fabric, so
+//! `--net-loss` experiments run over real sockets too.
+
+use crate::framing::{read_frame_into, write_frame_into, FrameStatus, MID_FRAME_DEADLINE};
+use crossbeam::channel::Sender;
+use parking_lot::RwLock;
+use polystyrene_membership::NodeId;
+use polystyrene_protocol::codec::{decode_event, encode_event_into, PointCodec};
+use polystyrene_protocol::{Event, Wire};
+use polystyrene_runtime::{
+    ClusterFabric, LiveCluster, Message, NodeFabric, RuntimeConfig, TransitLoss,
+};
+use std::collections::{HashMap, VecDeque};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// The TCP deployment: one listener, one node thread and a set of
+/// per-connection reader threads per node, all on localhost.
+pub type TcpCluster<S> = LiveCluster<S, TcpFabric>;
+
+/// Parameters of the TCP deployment, over and above the runtime ones.
+#[derive(Clone, Copy, Debug)]
+pub struct TcpConfig {
+    /// The shared node-loop configuration (tick, timeouts, protocol
+    /// parameters, seed; `link.loss` installs the transit-loss hook).
+    pub runtime: RuntimeConfig,
+    /// Outgoing connections a node keeps open at once; the
+    /// least-recently-*used* is closed when a send to a new peer needs a
+    /// slot. Bounds the deployment's file-descriptor and reader-thread
+    /// footprint at `nodes × cap` instead of `nodes²`, while the LRU
+    /// policy keeps the stable working set — heartbeat targets, the
+    /// topology neighborhood — cached across the one-shot random-peer
+    /// traffic (RPS shuffles) that would churn a FIFO cache into a
+    /// connect-per-message storm.
+    pub connection_cap: usize,
+    /// How long a reader blocks before re-checking its shutdown flag —
+    /// the upper bound on how long a killed node's reader threads
+    /// linger. Blocked readers cost nothing; each poll expiry is a
+    /// wakeup, so this is deliberately long (readers exit *immediately*
+    /// on connection close regardless — the flag only reaps readers
+    /// whose peer outlives their node).
+    pub reader_poll: Duration,
+    /// Timeout for opening a connection and for a blocked write (a peer
+    /// that accepts but never drains is indistinguishable from a dead
+    /// one past this point).
+    pub io_timeout: Duration,
+}
+
+impl Default for TcpConfig {
+    fn default() -> Self {
+        Self {
+            runtime: RuntimeConfig::default(),
+            connection_cap: 24,
+            reader_poll: Duration::from_millis(500),
+            io_timeout: Duration::from_secs(2),
+        }
+    }
+}
+
+impl TcpConfig {
+    /// Validates parameter sanity.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero connection cap or zero timeouts, and on an
+    /// invalid runtime configuration.
+    pub fn validate(&self) {
+        self.runtime.validate();
+        assert!(self.connection_cap > 0, "connection cap must be non-zero");
+        assert!(!self.reader_poll.is_zero(), "reader poll must be non-zero");
+        assert!(!self.io_timeout.is_zero(), "io timeout must be non-zero");
+    }
+}
+
+/// The shared socket-level address book plus the transit-loss hook —
+/// the TCP analogue of the runtime's `Registry`.
+pub struct TcpFabric {
+    config: TcpConfig,
+    /// Each attached node's listen address, and the stop flag shared
+    /// with its acceptor and every reader thread that acceptor spawned.
+    addrs: RwLock<HashMap<NodeId, (SocketAddr, Arc<AtomicBool>)>>,
+    loss: TransitLoss,
+    sent_frames: AtomicU64,
+}
+
+impl TcpFabric {
+    fn addr_of(&self, id: NodeId) -> Option<SocketAddr> {
+        self.addrs.read().get(&id).map(|&(addr, _)| addr)
+    }
+}
+
+impl<P: PointCodec + Clone + Send + Sync + 'static> ClusterFabric<P> for TcpFabric {
+    type Config = TcpConfig;
+
+    fn runtime(config: &TcpConfig) -> RuntimeConfig {
+        config.runtime
+    }
+
+    fn build(config: &TcpConfig) -> Self {
+        config.validate();
+        Self {
+            config: *config,
+            addrs: RwLock::new(HashMap::new()),
+            loss: TransitLoss::new(config.runtime.link, config.runtime.seed),
+            sent_frames: AtomicU64::new(0),
+        }
+    }
+
+    /// Binds the node's loopback listener, registers its address, and
+    /// starts its acceptor thread.
+    fn attach(
+        fabric: &Arc<Self>,
+        id: NodeId,
+        mailbox: Sender<Message<P>>,
+    ) -> (Box<dyn NodeFabric<P>>, Option<JoinHandle<()>>) {
+        let listener =
+            TcpListener::bind("127.0.0.1:0").expect("failed to bind a loopback listener");
+        let addr = listener
+            .local_addr()
+            .expect("bound listener has an address");
+        // Polled, never parked: a blocking `accept` can only be woken by
+        // an incoming connection, and a kill must not depend on being
+        // able to open one (fd pressure, full backlog) — an acceptor
+        // that misses its wake-up would hang `shutdown` forever.
+        listener
+            .set_nonblocking(true)
+            .expect("loopback listener accepts nonblocking mode");
+        let stop = Arc::new(AtomicBool::new(false));
+        fabric.addrs.write().insert(id, (addr, Arc::clone(&stop)));
+        let poll = fabric.config.reader_poll;
+        // Accept-poll sized to the protocol tick: first-contact delivery
+        // waits out at most half a tick before its reader exists (frames
+        // buffer in the kernel meanwhile), while big slow-tick
+        // deployments keep acceptor wakeups cheap.
+        let accept_poll = (fabric.config.runtime.tick / 2)
+            .clamp(Duration::from_millis(1), Duration::from_millis(20));
+        let acceptor = std::thread::Builder::new()
+            .name(format!("poly-tcp-accept-{id}"))
+            .spawn(move || accept_loop::<P>(listener, mailbox, stop, poll, accept_poll))
+            .expect("failed to spawn acceptor thread");
+        (
+            Box::new(TcpLink::<P>::new(id, Arc::clone(fabric))),
+            Some(acceptor),
+        )
+    }
+
+    /// Deregisters the node and raises its stop flag: its acceptor exits
+    /// within one accept poll, dropping the listener, and its readers
+    /// within one `reader_poll` or at once when their peer hangs up.
+    fn detach(&self, id: NodeId) {
+        if let Some((_, stop)) = self.addrs.write().remove(&id) {
+            stop.store(true, Ordering::Release);
+        }
+    }
+
+    fn injected_drops(&self) -> u64 {
+        self.loss.dropped()
+    }
+
+    fn sent_frames(&self) -> u64 {
+        self.sent_frames.load(Ordering::Relaxed)
+    }
+}
+
+/// One node's sending half: the per-peer connection cache behind the
+/// [`NodeFabric`] surface. Owned exclusively by its node thread.
+struct TcpLink<P> {
+    id: NodeId,
+    fabric: Arc<TcpFabric>,
+    conns: HashMap<NodeId, TcpStream>,
+    /// Recency order for LRU eviction: front = coldest, back = just
+    /// used. Every successful cache hit refreshes its entry.
+    order: VecDeque<NodeId>,
+    cap: usize,
+    io_timeout: Duration,
+    /// Reusable encode buffer: every outgoing frame is serialized into
+    /// this one allocation instead of a fresh `Vec` per send.
+    buf: Vec<u8>,
+    /// Reusable frame-assembly scratch for [`write_frame_into`] — the
+    /// length-prefixed copy that goes to `write_all` in one syscall.
+    frame: Vec<u8>,
+    _point: std::marker::PhantomData<P>,
+}
+
+impl<P> TcpLink<P> {
+    fn new(id: NodeId, fabric: Arc<TcpFabric>) -> Self {
+        Self {
+            id,
+            conns: HashMap::new(),
+            order: VecDeque::new(),
+            cap: fabric.config.connection_cap,
+            io_timeout: fabric.config.io_timeout,
+            fabric,
+            buf: Vec::new(),
+            frame: Vec::new(),
+            _point: std::marker::PhantomData,
+        }
+    }
+
+    fn drop_conn(&mut self, to: NodeId) {
+        if self.conns.remove(&to).is_some() {
+            self.order.retain(|&id| id != to);
+        }
+    }
+
+    /// Marks `to` most-recently-used.
+    fn touch(&mut self, to: NodeId) {
+        self.order.retain(|&id| id != to);
+        self.order.push_back(to);
+    }
+
+    /// Writes one frame to `to`, connecting if no cached stream exists.
+    /// `false` = observable delivery failure (connect refused, write
+    /// error/timeout); the broken stream is dropped either way.
+    fn try_write(&mut self, to: NodeId, addr: SocketAddr, payload: &[u8]) -> bool {
+        if !self.conns.contains_key(&to) {
+            let Ok(stream) = TcpStream::connect_timeout(&addr, self.io_timeout) else {
+                return false;
+            };
+            // Frames are small and latency-sensitive at millisecond
+            // ticks; a blocked write past the timeout is treated as a
+            // dead peer rather than hanging the whole node loop.
+            let _ = stream.set_nodelay(true);
+            let _ = stream.set_write_timeout(Some(self.io_timeout));
+            while self.conns.len() >= self.cap {
+                match self.order.pop_front() {
+                    Some(old) => {
+                        self.conns.remove(&old);
+                    }
+                    None => break,
+                }
+            }
+            self.conns.insert(to, stream);
+        }
+        self.touch(to);
+        let mut frame = std::mem::take(&mut self.frame);
+        let ok = {
+            let stream = self.conns.get_mut(&to).expect("inserted above");
+            write_frame_into(stream, payload, &mut frame).is_ok()
+        };
+        self.frame = frame;
+        if !ok {
+            self.drop_conn(to);
+        }
+        ok
+    }
+}
+
+impl<P: PointCodec + Clone + Send + 'static> NodeFabric<P> for TcpLink<P> {
+    fn send(&mut self, to: NodeId, wire: Wire<P>) -> bool {
+        if self.fabric.loss.drops(self.id, to, wire.channel()) {
+            return self.fabric.addr_of(to).is_some();
+        }
+        let Some(addr) = self.fabric.addr_of(to) else {
+            // Deregistered: close any cached stream so a later rebind of
+            // the same port cannot resurrect the old connection.
+            self.drop_conn(to);
+            return false;
+        };
+        let mut payload = std::mem::take(&mut self.buf);
+        encode_event_into(
+            &mut payload,
+            &Event::Message {
+                from: self.id,
+                wire,
+            },
+        );
+        // Reconnect-on-failure, but only when the first attempt went
+        // through a *pre-existing cached* stream — it may be stale (the
+        // peer restarted, or evicted this end's connection from its own
+        // accept side), so one fresh connection gets one more chance. A
+        // failed fresh connect is retried by nothing: repeating it with
+        // nothing changed would just double the blocking time on an
+        // unreachable peer before the crash-stop report.
+        let had_cached = self.conns.contains_key(&to);
+        let delivered = self.try_write(to, addr, &payload)
+            || (had_cached && self.try_write(to, addr, &payload));
+        self.buf = payload;
+        if delivered {
+            self.fabric.sent_frames.fetch_add(1, Ordering::Relaxed);
+        }
+        delivered
+    }
+
+    fn contains(&mut self, id: NodeId) -> bool {
+        self.fabric.addr_of(id).is_some()
+    }
+}
+
+/// Accepts inbound connections off a *nonblocking* listener and spawns
+/// one reader thread per stream. Polling every `accept_poll` (instead
+/// of a blocking `accept`) makes acceptor exit unconditional on the
+/// stop flag — a parked `accept` can only be woken by an incoming
+/// connection, which a kill under fd pressure might not be able to
+/// fabricate.
+///
+/// Reader threads decode frames into mailbox messages and die on stream
+/// close, malformed input (a corrupt stream cannot be resynchronized —
+/// the sender reconnects), mailbox teardown, or the shared stop flag
+/// (checked every `reader_poll`).
+fn accept_loop<P: PointCodec + Send + 'static>(
+    listener: TcpListener,
+    tx: Sender<Message<P>>,
+    stop: Arc<AtomicBool>,
+    reader_poll: Duration,
+    accept_poll: Duration,
+) {
+    while !stop.load(Ordering::Acquire) {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                // Accepted streams must block (with a read timeout):
+                // `read_frame_into` rides out timeouts mid-frame, but a
+                // nonblocking stream would spin instead of sleep.
+                let _ = stream.set_nonblocking(false);
+                let _ = stream.set_read_timeout(Some(reader_poll));
+                let tx = tx.clone();
+                let stop = Arc::clone(&stop);
+                // Readers mostly sleep in `read`; a small stack keeps
+                // hundreds of connections per deployment cheap.
+                let _ = std::thread::Builder::new()
+                    .name("poly-tcp-read".into())
+                    .stack_size(128 * 1024)
+                    .spawn(move || reader_loop(stream, tx, stop));
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(accept_poll);
+            }
+            Err(_) => {
+                // Transient accept failures (fd pressure, interrupted
+                // syscalls) must not busy-spin the acceptor.
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
+    }
+}
+
+fn reader_loop<P: PointCodec>(stream: TcpStream, tx: Sender<Message<P>>, stop: Arc<AtomicBool>) {
+    let mut stream = std::io::BufReader::new(stream);
+    // Per-connection decode scratch: one frame-body buffer amortized
+    // over the connection's lifetime. The decoded wire payload itself
+    // is necessarily owned — it crosses the mailbox channel into the
+    // node — so the decode allocation per frame is down to that one.
+    let mut payload = Vec::new();
+    loop {
+        if stop.load(Ordering::Acquire) {
+            break;
+        }
+        match read_frame_into(&mut stream, MID_FRAME_DEADLINE, &mut payload) {
+            Ok(FrameStatus::Frame) => match decode_event::<P>(&payload) {
+                Ok(Event::Message { from, wire }) => {
+                    if tx.send(Message::Protocol { from, wire }).is_err() {
+                        break;
+                    }
+                }
+                // Anything else — a decode error, or an event kind that
+                // has no business crossing the wire — poisons the
+                // connection. Dropping it is safe: the protocol already
+                // tolerates message loss, and the peer reconnects.
+                _ => break,
+            },
+            Ok(FrameStatus::Idle) => {}
+            Ok(FrameStatus::Closed) | Err(_) => break,
+        }
+    }
+}

@@ -4,9 +4,9 @@
 //! The frame layout is pinned next to the codec's version byte
 //! ([`polystyrene_protocol::codec::FRAME_VERSION`]): a `u32`
 //! little-endian length prefix counting everything after itself, one
-//! frame-version byte, then the payload. [`write_frame`] emits the whole
-//! frame with a single `write_all` (short writes are retried inside it);
-//! [`read_frame`] reassembles a frame from however many partial reads
+//! frame-version byte, then the payload. [`write_frame_into`] emits the
+//! whole frame with a single `write_all` (short writes are retried inside
+//! it); [`read_frame_into`] reassembles a frame from however many partial reads
 //! the socket produces, rejects oversized or mis-versioned frames
 //! *before* allocating, and distinguishes three non-frame outcomes a
 //! socket loop needs: clean close at a frame boundary, idle timeout
@@ -17,29 +17,16 @@
 use polystyrene_protocol::codec::{FRAME_VERSION, MAX_FRAME_BYTES};
 use std::io::{self, Read, Write};
 
-/// Outcome of one [`read_frame`] attempt.
-#[derive(Debug, PartialEq, Eq)]
-pub enum FrameRead {
-    /// A complete frame's payload.
-    Frame(Vec<u8>),
-    /// The stream closed cleanly at a frame boundary.
-    Closed,
-    /// A read timeout fired before any byte of a new frame arrived —
-    /// the connection is merely idle, not broken. Only surfaced when the
-    /// underlying stream has a read timeout configured.
-    Idle,
-}
-
-/// Outcome of one [`read_frame_into`] attempt — [`FrameRead`] with the
-/// payload landing in the caller's reused buffer instead of a fresh
-/// allocation per frame.
+/// Outcome of one [`read_frame_into`] attempt.
 #[derive(Debug, PartialEq, Eq)]
 pub enum FrameStatus {
     /// A complete frame; its payload is in the caller's buffer.
     Frame,
     /// The stream closed cleanly at a frame boundary.
     Closed,
-    /// A read timeout fired before any byte of a new frame arrived.
+    /// A read timeout fired before any byte of a new frame arrived —
+    /// the connection is merely idle, not broken. Only surfaced when the
+    /// underlying stream has a read timeout configured.
     Idle,
 }
 
@@ -53,8 +40,7 @@ fn is_timeout(e: &io::Error) -> bool {
 }
 
 /// Default wall-clock budget for completing one frame once its first
-/// byte has arrived ([`read_frame`] = [`read_frame_deadline`] with
-/// this). A well-behaved sender emits each frame with a single
+/// byte has arrived. A well-behaved sender emits each frame with a single
 /// `write_all`, so even brutal scheduling jitter clears one frame in
 /// well under a second; a sender that opens a frame and then trickles
 /// or stalls — dead in a way the kernel has not surfaced yet, or
@@ -77,7 +63,7 @@ fn fill(
     buf: &mut [u8],
     at_boundary: bool,
     deadline: std::time::Duration,
-) -> io::Result<Option<FrameRead>> {
+) -> io::Result<Option<FrameStatus>> {
     let mut filled = 0;
     // Armed from the frame's first byte: boundary fills start the clock
     // only once something arrived, later fills are mid-frame already.
@@ -96,7 +82,7 @@ fn fill(
         match r.read(&mut buf[filled..]) {
             Ok(0) => {
                 if at_boundary && filled == 0 {
-                    return Ok(Some(FrameRead::Closed));
+                    return Ok(Some(FrameStatus::Closed));
                 }
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -110,7 +96,7 @@ fn fill(
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) if is_timeout(&e) => {
                 if at_boundary && filled == 0 {
-                    return Ok(Some(FrameRead::Idle));
+                    return Ok(Some(FrameStatus::Idle));
                 }
                 // Mid-frame the peer is expected to be actively
                 // writing: ride out scheduling jitter until the
@@ -122,41 +108,20 @@ fn fill(
     Ok(None)
 }
 
-/// Reads one frame, handling partial reads, and returns its payload —
-/// or [`FrameRead::Closed`] / [`FrameRead::Idle`] when the stream ended
-/// or timed out *between* frames. Equivalent to
-/// [`read_frame_deadline`] with [`MID_FRAME_DEADLINE`].
+/// Reads one frame, handling partial reads, into a caller-owned buffer
+/// (cleared and overwritten) — so a connection's reader amortizes one
+/// allocation over every frame it will ever receive — or reports
+/// [`FrameStatus::Closed`] / [`FrameStatus::Idle`] when the stream ended
+/// or timed out *between* frames. `deadline` is the wall-clock budget
+/// per frame, counted from its first byte (idling between frames is
+/// unlimited); [`MID_FRAME_DEADLINE`] is the default.
 ///
 /// # Errors
 ///
 /// Any mid-frame stream failure, a frame that fails to complete within
 /// the deadline of its first byte, a declared length of zero or above
-/// [`MAX_FRAME_BYTES`] (rejected before allocating), or a
+/// [`MAX_FRAME_BYTES`] (rejected before the buffer is grown), or a
 /// frame-version byte other than [`FRAME_VERSION`].
-pub fn read_frame(r: &mut impl Read) -> io::Result<FrameRead> {
-    read_frame_deadline(r, MID_FRAME_DEADLINE)
-}
-
-/// [`read_frame`] with an explicit wall-clock budget per frame segment,
-/// counted from the frame's first byte (idling *between* frames is
-/// unlimited — that is what [`FrameRead::Idle`] reports).
-pub fn read_frame_deadline(
-    r: &mut impl Read,
-    deadline: std::time::Duration,
-) -> io::Result<FrameRead> {
-    let mut payload = Vec::new();
-    Ok(match read_frame_into(r, deadline, &mut payload)? {
-        FrameStatus::Frame => FrameRead::Frame(payload),
-        FrameStatus::Closed => FrameRead::Closed,
-        FrameStatus::Idle => FrameRead::Idle,
-    })
-}
-
-/// [`read_frame_deadline`] reading the payload into a caller-owned
-/// buffer (cleared and overwritten), so a connection's reader amortizes
-/// one allocation over every frame it will ever receive instead of
-/// paying a fresh frame-body `Vec` per message. Length sanity is still
-/// checked *before* the buffer is grown.
 pub fn read_frame_into(
     r: &mut impl Read,
     deadline: std::time::Duration,
@@ -164,10 +129,7 @@ pub fn read_frame_into(
 ) -> io::Result<FrameStatus> {
     let mut len_buf = [0u8; 4];
     if let Some(outcome) = fill(r, &mut len_buf, true, deadline)? {
-        return Ok(match outcome {
-            FrameRead::Closed => FrameStatus::Closed,
-            _ => FrameStatus::Idle,
-        });
+        return Ok(outcome);
     }
     let len = u32::from_le_bytes(len_buf) as usize;
     if len == 0 || len > MAX_FRAME_BYTES {
@@ -191,21 +153,16 @@ pub fn read_frame_into(
 }
 
 /// Writes one frame (length prefix, version byte, payload) as a single
-/// buffer, so a frame is never interleaved with torn sibling writes.
+/// buffer, so a frame is never interleaved with torn sibling writes. The
+/// frame is assembled in a caller-owned scratch buffer (cleared and
+/// overwritten), so a send loop serializes every outgoing frame through
+/// one reused allocation.
 ///
 /// # Errors
 ///
 /// A payload larger than [`MAX_FRAME_BYTES`] − 1 (it could never be
 /// read back), or any underlying write failure — `write_all` retries
 /// short writes internally.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut frame = Vec::new();
-    write_frame_into(w, payload, &mut frame)
-}
-
-/// [`write_frame`] assembling the frame in a caller-owned scratch buffer
-/// (cleared and overwritten), so a send loop serializes every outgoing
-/// frame through one reused allocation.
 pub fn write_frame_into(w: &mut impl Write, payload: &[u8], frame: &mut Vec<u8>) -> io::Result<()> {
     let len = payload.len() + 1;
     if len > MAX_FRAME_BYTES {
@@ -271,26 +228,39 @@ mod tests {
 
     fn framed(payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        write_frame(&mut out, payload).unwrap();
+        write_frame_into(&mut out, payload, &mut Vec::new()).unwrap();
         out
     }
 
+    /// One read into a fresh buffer at `deadline`.
+    fn read_within(r: &mut impl Read, deadline: Duration) -> io::Result<(FrameStatus, Vec<u8>)> {
+        let mut payload = Vec::new();
+        read_frame_into(r, deadline, &mut payload).map(|status| (status, payload))
+    }
+
+    fn read(r: &mut impl Read) -> io::Result<(FrameStatus, Vec<u8>)> {
+        read_within(r, MID_FRAME_DEADLINE)
+    }
+
+    fn frame(payload: &[u8]) -> (FrameStatus, Vec<u8>) {
+        (FrameStatus::Frame, payload.to_vec())
+    }
+
+    const CLOSED: (FrameStatus, Vec<u8>) = (FrameStatus::Closed, Vec::new());
+    const IDLE: (FrameStatus, Vec<u8>) = (FrameStatus::Idle, Vec::new());
+
     #[test]
     fn roundtrip_through_a_buffer() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"hello").unwrap();
-        write_frame(&mut wire, b"").unwrap();
+        let mut wire = framed(b"hello");
+        wire.extend(framed(b""));
         let mut cursor = io::Cursor::new(wire);
-        assert_eq!(
-            read_frame(&mut cursor).unwrap(),
-            FrameRead::Frame(b"hello".to_vec())
-        );
-        assert_eq!(read_frame(&mut cursor).unwrap(), FrameRead::Frame(vec![]));
-        assert_eq!(read_frame(&mut cursor).unwrap(), FrameRead::Closed);
+        assert_eq!(read(&mut cursor).unwrap(), frame(b"hello"));
+        assert_eq!(read(&mut cursor).unwrap(), frame(b""));
+        assert_eq!(read(&mut cursor).unwrap(), CLOSED);
     }
 
     #[test]
-    fn into_variants_reuse_dirty_buffers() {
+    fn reads_and_writes_reuse_dirty_buffers() {
         // One payload buffer and one frame scratch survive several
         // frames of different sizes: every read must fully replace the
         // previous (possibly longer) contents.
@@ -324,11 +294,8 @@ mod tests {
             bytes: framed(b"partial"),
             at: 0,
         };
-        assert_eq!(
-            read_frame(&mut r).unwrap(),
-            FrameRead::Frame(b"partial".to_vec())
-        );
-        assert_eq!(read_frame(&mut r).unwrap(), FrameRead::Closed);
+        assert_eq!(read(&mut r).unwrap(), frame(b"partial"));
+        assert_eq!(read(&mut r).unwrap(), CLOSED);
     }
 
     #[test]
@@ -340,14 +307,11 @@ mod tests {
             countdown: 2,
         };
         // First attempt hits the timeout before any byte: idle.
-        assert_eq!(read_frame(&mut r).unwrap(), FrameRead::Idle);
-        assert_eq!(read_frame(&mut r).unwrap(), FrameRead::Idle);
+        assert_eq!(read(&mut r).unwrap(), IDLE);
+        assert_eq!(read(&mut r).unwrap(), IDLE);
         // Third attempt gets the first byte, then rides out every
         // subsequent timeout until the frame completes.
-        assert_eq!(
-            read_frame(&mut r).unwrap(),
-            FrameRead::Frame(b"xy".to_vec())
-        );
+        assert_eq!(read(&mut r).unwrap(), frame(b"xy"));
     }
 
     /// A reader whose bytes run out into an endless timeout — a sender
@@ -381,7 +345,7 @@ mod tests {
             bytes: framed(b"never finished")[..4].to_vec(),
             at: 0,
         };
-        let err = read_frame_deadline(&mut r, Duration::from_millis(20))
+        let err = read_within(&mut r, Duration::from_millis(20))
             .expect_err("an abandoned frame must poison the stream");
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
         // Before any frame byte, the same endless silence is mere
@@ -392,8 +356,8 @@ mod tests {
         };
         for _ in 0..3 {
             assert_eq!(
-                read_frame_deadline(&mut idle, Duration::from_millis(20)).unwrap(),
-                FrameRead::Idle
+                read_within(&mut idle, Duration::from_millis(20)).unwrap(),
+                IDLE
             );
         }
     }
@@ -403,7 +367,7 @@ mod tests {
         let full = framed(b"truncated");
         for cut in 1..full.len() {
             let mut cursor = io::Cursor::new(full[..cut].to_vec());
-            let err = read_frame(&mut cursor).expect_err("mid-frame EOF must error");
+            let err = read(&mut cursor).expect_err("mid-frame EOF must error");
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
         }
     }
@@ -413,12 +377,12 @@ mod tests {
         let mut huge = Vec::new();
         huge.extend_from_slice(&(u32::MAX).to_le_bytes());
         huge.push(FRAME_VERSION);
-        let err = read_frame(&mut io::Cursor::new(huge)).expect_err("oversized");
+        let err = read(&mut io::Cursor::new(huge)).expect_err("oversized");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         let mut zero = Vec::new();
         zero.extend_from_slice(&0u32.to_le_bytes());
-        let err = read_frame(&mut io::Cursor::new(zero)).expect_err("zero length");
+        let err = read(&mut io::Cursor::new(zero)).expect_err("zero length");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -426,7 +390,7 @@ mod tests {
     fn wrong_frame_version_rejected() {
         let mut bad = framed(b"v?");
         bad[4] = FRAME_VERSION + 1;
-        let err = read_frame(&mut io::Cursor::new(bad)).expect_err("bad version");
+        let err = read(&mut io::Cursor::new(bad)).expect_err("bad version");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -436,13 +400,13 @@ mod tests {
         // frame-version byte is counted.
         let payload = vec![0u8; MAX_FRAME_BYTES];
         let mut sink = Vec::new();
-        let err = write_frame(&mut sink, &payload).expect_err("too large");
+        let err = write_frame_into(&mut sink, &payload, &mut Vec::new()).expect_err("too large");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(sink.is_empty(), "nothing may reach the stream");
     }
 
     /// A writer accepting one byte per call: `write_all` inside
-    /// `write_frame` must retry until the whole frame is out.
+    /// `write_frame_into` must retry until the whole frame is out.
     struct ShortWriter {
         out: Vec<u8>,
     }
@@ -463,7 +427,7 @@ mod tests {
     #[test]
     fn short_writes_are_retried_to_completion() {
         let mut w = ShortWriter { out: Vec::new() };
-        write_frame(&mut w, b"short").unwrap();
+        write_frame_into(&mut w, b"short", &mut Vec::new()).unwrap();
         assert_eq!(w.out, framed(b"short"));
     }
 }

@@ -1,7 +1,7 @@
 //! TCP deployment of the Polystyrene stack — the fourth execution
 //! substrate: the pinned byte codec (`polystyrene_protocol::codec`),
 //! length-framed ([`framing`]), over real loopback sockets
-//! ([`cluster::TcpCluster`]).
+//! ([`fabric::TcpFabric`]).
 //!
 //! The other three substrates move Rust values — through synchronous
 //! calls (cycle engine), a discrete-event queue (netsim), or in-process
@@ -12,11 +12,13 @@
 //! become reachable by tests instead of lying latent until a real
 //! deployment.
 //!
-//! The node loop is `polystyrene-runtime`'s `NodeRuntime`, verbatim,
-//! behind its `NodeFabric` seam; the scenario driver and observation
-//! plane are shared through the experiment plane (`polystyrene-lab`'s
-//! `Substrate` trait). A scenario script that runs on the in-process
-//! cluster runs unchanged here:
+//! This crate holds only what differs from the in-process fabric: the
+//! framing, [`TcpConfig`], and [`TcpFabric`] with its per-node
+//! connection cache and accept/reader threads. The deployment itself —
+//! node loop, spawn, crash, offer and observe — is
+//! `polystyrene-runtime`'s `LiveCluster`, and [`TcpCluster`] is that
+//! cluster over this fabric. A scenario script that runs on the
+//! in-process cluster runs unchanged here:
 //!
 //! ```
 //! use polystyrene_transport::{TcpCluster, TcpConfig};
@@ -34,8 +36,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
+pub mod fabric;
 pub mod framing;
 
-pub use cluster::{TcpCluster, TcpConfig, TcpFabric};
-pub use framing::{read_frame, read_frame_deadline, write_frame, FrameRead};
+pub use fabric::{TcpCluster, TcpConfig, TcpFabric};
+pub use framing::{read_frame_into, write_frame_into, FrameStatus};
