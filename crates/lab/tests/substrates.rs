@@ -422,6 +422,87 @@ fn batched_offers_match_the_unbatched_outcome_set() {
     drive_twins!(batched, unbatched, "netsim");
 }
 
+/// The oracle set-up's cycle engine: the small paper torus at
+/// `small_lab_config(seed)`.
+fn small_engine(seed: u64) -> Engine<Torus2> {
+    let p = PaperScenario::small();
+    let (w, h) = p.extents();
+    let lab = small_lab_config(seed);
+    let mut e = EngineConfig::default();
+    e.tman = lab.tman;
+    e.area = lab.area;
+    e.seed = lab.seed;
+    Engine::new(Torus2::new(w, h), p.shape(), e)
+}
+
+/// The same set-up on the netsim kernel (default ideal links).
+fn small_kernel(seed: u64) -> NetSim<Torus2> {
+    let p = PaperScenario::small();
+    let (w, h) = p.extents();
+    let lab = small_lab_config(seed);
+    let mut n = NetSimConfig::default();
+    n.tman = lab.tman;
+    n.area = lab.area;
+    n.seed = lab.seed;
+    NetSim::new(Torus2::new(w, h), p.shape(), n)
+}
+
+/// FNV-1a over eight loaded rounds after a 6-round warm-up: each
+/// round's `(offered, delivered, dropped)` and its sorted `(hops,
+/// latency)` samples. Engine and NetSim share the inherent traffic
+/// surface but no trait, so the drive loop is a macro.
+macro_rules! traffic_fingerprint {
+    ($sub:expr, $label:expr) => {{
+        let mut sub = $sub;
+        sub.run(6);
+        let mut load = TrafficLoad::new(PaperScenario::small().shape(), 32, 0.9, 8, 17);
+        let mut samples = Vec::new();
+        let mut hash: u64 = 0xcbf29ce484222325;
+        let mut mix = |v: u64| {
+            hash ^= v;
+            hash = hash.wrapping_mul(0x100000001b3);
+        };
+        for round in 0..8 {
+            let ttl = load.ttl();
+            sub.offer_traffic(load.next_round(), ttl);
+            sub.step();
+            samples.clear();
+            let (offered, delivered, dropped) = sub.drain_traffic(&mut samples);
+            assert!(delivered > 0, "{} round {round}: nothing delivered", $label);
+            samples.sort_unstable();
+            for v in [offered, delivered, dropped] {
+                mix(v);
+            }
+            for &(hops, latency) in &samples {
+                mix(u64::from(hops));
+                mix(latency);
+            }
+        }
+        hash
+    }};
+}
+
+#[test]
+fn engine_traffic_fingerprint_is_pinned() {
+    // Pins every round's outcome set of the query forwarding path on
+    // the cycle engine; any change to forwarding, batching or gateway
+    // accounting that moves a single hop or latency shows up here.
+    assert_eq!(
+        traffic_fingerprint!(small_engine(17), "engine"),
+        0x24ebfe0652d59cb6,
+        "engine traffic fingerprint moved"
+    );
+}
+
+#[test]
+fn netsim_traffic_fingerprint_is_pinned() {
+    assert_eq!(
+        traffic_fingerprint!(small_kernel(17), "netsim"),
+        0x7648024c5b9c62eb,
+        "netsim traffic fingerprint moved"
+    );
+}
+
 #[test]
 fn lossless_links_charge_the_engine_and_kernel_identically() {
     // The paper's cost model (Sec. IV-A) is charged at each substrate's
