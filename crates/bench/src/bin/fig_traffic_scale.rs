@@ -11,8 +11,7 @@
 //!
 //! * the deterministic kernel (`netsim`, default 160×160 = 25 600
 //!   nodes) has no admission bound — its sweep measures routing cost at
-//!   scale, and a paired batched-vs-unbatched run at the top rung
-//!   reports the wall-clock speedup of the `QueryBatch` hot path;
+//!   scale;
 //! * the live substrates (`cluster`, `tcp`, figure-scale grids) bound
 //!   every gateway's ingress at [`GATEWAY_INGRESS_BOUND`] queries —
 //!   past the knee they *shed* load at the gateway (counted separately
@@ -31,7 +30,6 @@ use polystyrene_lab::{
     build_substrate, run_experiment, run_experiment_with_traffic, summary_json, ExperimentSummary,
     LabConfig, SubstrateKind, TrafficLoad,
 };
-use polystyrene_netsim::{NetSim, NetSimConfig};
 use polystyrene_protocol::Scenario;
 use polystyrene_routing::kv::key_position;
 use polystyrene_runtime::GATEWAY_INGRESS_BOUND;
@@ -192,55 +190,6 @@ fn sweep(plan: &Plan, args: &CommonArgs, warmup: u32, rounds: u32) -> SweepResul
     }
 }
 
-/// Times `rounds` rounds of the top rung on twin converged kernels —
-/// one offering through the batched hot path, one through the retained
-/// per-wire reference path — and returns
-/// `(speedup, batched_secs, unbatched_secs)`.
-fn batched_speedup(
-    args: &CommonArgs,
-    plan: &Plan,
-    warmup: u32,
-    rounds: u32,
-    rate: usize,
-) -> (f64, f64, f64) {
-    let keys = key_universe(args.traffic_keys, plan.cols, plan.rows);
-    let time_one = |batched: bool| {
-        let mut cfg = NetSimConfig::default();
-        cfg.poly = PolystyreneConfig::builder().replication(args.k).build();
-        cfg.area = plan.nodes() as f64;
-        cfg.seed = args.seed;
-        cfg.link = args.link_profile();
-        let mut sim = NetSim::new(
-            Torus2::new(plan.cols as f64, plan.rows as f64),
-            shapes::torus_grid(plan.cols, plan.rows, 1.0),
-            cfg,
-        );
-        sim.run(warmup);
-        let mut load = TrafficLoad::with_dist(
-            keys.clone(),
-            rate,
-            args.read_fraction,
-            plan.ttl(),
-            args.seed,
-            args.traffic_dist,
-        );
-        let started = Instant::now();
-        for _ in 0..rounds {
-            let ttl = load.ttl();
-            if batched {
-                sim.offer_traffic(load.next_round(), ttl);
-            } else {
-                sim.offer_traffic_unbatched(load.next_round(), ttl);
-            }
-            sim.step();
-        }
-        started.elapsed().as_secs_f64()
-    };
-    let unbatched = time_one(false);
-    let batched = time_one(true);
-    (unbatched / batched, batched, unbatched)
-}
-
 fn main() {
     let args = CommonArgs::parse_with(
         CommonArgs {
@@ -262,12 +211,10 @@ fn main() {
             "live-rows",
             "live-base-rate",
             "live-rate-steps",
-            "speedup-rounds",
         ],
     );
     let warmup = args.extra_usize("warmup", 20) as u32;
     let rounds = args.extra_usize("rounds", 6) as u32;
-    let speedup_rounds = args.extra_usize("speedup-rounds", 8) as u32;
     let sim_plan = |kind| Plan {
         kind,
         cols: args.cols,
@@ -352,31 +299,6 @@ fn main() {
         results.push((plan.kind.name().to_string(), result));
     }
 
-    // Batched-vs-unbatched wall clock at the top rung, on the kernel
-    // sweep's own grid (skipped when the sweep only ran live kinds).
-    let speedup = plans
-        .iter()
-        .find(|p| matches!(p.kind, SubstrateKind::Netsim | SubstrateKind::Engine))
-        .map(|plan| {
-            let top = *plan.rates().last().expect("ladder is never empty");
-            let plan = Plan {
-                kind: SubstrateKind::Netsim,
-                ..*plan
-            };
-            let (speedup, batched, unbatched) =
-                batched_speedup(&args, &plan, warmup, speedup_rounds, top);
-            println!(
-                "batched hot path at r{top}: {batched:.2}s vs unbatched {unbatched:.2}s \
-                 ({speedup:.2}x)\n"
-            );
-            if speedup < 1.0 {
-                failures.push(format!(
-                    "batching lost to the per-wire path: {speedup:.2}x at r{top}"
-                ));
-            }
-            (speedup, batched, unbatched)
-        });
-
     std::fs::create_dir_all(&args.out).expect("failed to create output directory");
     let entries: Vec<(String, &ExperimentSummary)> = results
         .iter()
@@ -397,7 +319,7 @@ fn main() {
         .map(|(label, r)| format!("\"{label}\":{}", json_f64(r.wall_secs, 3)))
         .collect::<Vec<_>>()
         .join(",");
-    let mut meta: Vec<(&str, String)> = vec![
+    let meta: Vec<(&str, String)> = vec![
         ("nodes", plans[0].nodes().to_string()),
         ("k", args.k.to_string()),
         ("warmup", warmup.to_string()),
@@ -409,11 +331,6 @@ fn main() {
         ("knee_rate", format!("{{{knee_obj}}}")),
         ("wall_secs", format!("{{{wall_obj}}}")),
     ];
-    if let Some((speedup, batched, unbatched)) = speedup {
-        meta.push(("batched_speedup", json_f64(speedup, 3)));
-        meta.push(("batched_wall_secs", json_f64(batched, 3)));
-        meta.push(("unbatched_wall_secs", json_f64(unbatched, 3)));
-    }
     let json = summary_json("fig_traffic_scale", &meta, &entries);
     let json_path = args.out.join("fig_traffic_scale.json");
     std::fs::write(&json_path, json).expect("failed to write JSON");

@@ -451,8 +451,8 @@ impl ExperimentSummary {
 /// A float as a JSON number token, with `precision` fractional digits —
 /// or the JSON literal `null` when the value is not finite.
 ///
-/// The experiment binaries hand-roll their JSON (the serde shim has no
-/// serialization machinery, by design), and `format!("{v:.6}")` happily
+/// The experiment binaries hand-roll their JSON (the offline build
+/// carries no serialization library), and `format!("{v:.6}")` happily
 /// prints `NaN` or `inf` for the degenerate sweeps that produce them
 /// (an empty cluster's infinite homogeneity, a 0-run mean) — which is
 /// not JSON, and silently breaks every `BENCH_*.json` consumer

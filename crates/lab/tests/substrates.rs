@@ -339,91 +339,7 @@ fn traffic_load_flows_on_the_live_cluster() {
     );
 }
 
-#[test]
-fn batched_offers_match_the_unbatched_outcome_set() {
-    // The batching optimization is a pure transport-shape change: for
-    // every round the set of (hops, latency) outcomes — and the
-    // offered/delivered/dropped totals — must be exactly what the
-    // per-wire path produces. Pinned on both deterministic substrates
-    // by running twin instances from the same seed, one offering
-    // through the batched hot path and one through the retained
-    // unbatched reference path.
-    let p = PaperScenario::small();
-    let (w, h) = p.extents();
-    let shape = shapes::torus_grid(p.cols, p.rows, 1.0);
-    let lab = small_lab_config(17);
-
-    // Engine and NetSim share the inherent traffic surface but no
-    // trait carries `offer_traffic_unbatched` (it exists only as the
-    // pinned reference path), so the twin-drive loop is a macro.
-    macro_rules! drive_twins {
-        ($batched:expr, $unbatched:expr, $label:expr) => {{
-            let mut load_a = TrafficLoad::new(p.shape(), 32, 0.9, 8, 17);
-            let mut load_b = TrafficLoad::new(p.shape(), 32, 0.9, 8, 17);
-            let (mut samples_a, mut samples_b) = (Vec::new(), Vec::new());
-            for round in 0..8 {
-                let ttl = load_a.ttl();
-                $batched.offer_traffic(load_a.next_round(), ttl);
-                $unbatched.offer_traffic_unbatched(load_b.next_round(), ttl);
-                $batched.step();
-                $unbatched.step();
-                samples_a.clear();
-                samples_b.clear();
-                let totals_a = $batched.drain_traffic(&mut samples_a);
-                let totals_b = $unbatched.drain_traffic(&mut samples_b);
-                assert_eq!(
-                    totals_a, totals_b,
-                    "{} round {round}: (offered, delivered, dropped) diverged",
-                    $label
-                );
-                samples_a.sort_unstable();
-                samples_b.sort_unstable();
-                assert_eq!(
-                    samples_a, samples_b,
-                    "{} round {round}: (hops, latency) outcome sets diverged",
-                    $label
-                );
-                assert!(
-                    totals_a.1 > 0,
-                    "{} round {round}: nothing delivered",
-                    $label
-                );
-            }
-        }};
-    }
-
-    // Cycle engine pair.
-    let mk_engine = || {
-        let mut e = EngineConfig::default();
-        e.tman = lab.tman;
-        e.area = lab.area;
-        e.seed = lab.seed;
-        Engine::new(Torus2::new(w, h), shape.clone(), e)
-    };
-    let mut batched = mk_engine();
-    let mut unbatched = mk_engine();
-    batched.run(6);
-    unbatched.run(6);
-    drive_twins!(batched, unbatched, "engine");
-
-    // Netsim kernel pair (default ideal links, so the per-envelope
-    // loss/latency draw cannot fork the two entropy streams).
-    let mk_kernel = || {
-        let mut n = NetSimConfig::default();
-        n.tman = lab.tman;
-        n.area = lab.area;
-        n.seed = lab.seed;
-        NetSim::new(Torus2::new(w, h), shape.clone(), n)
-    };
-    let mut batched = mk_kernel();
-    let mut unbatched = mk_kernel();
-    batched.run(6);
-    unbatched.run(6);
-    drive_twins!(batched, unbatched, "netsim");
-}
-
-/// The oracle set-up's cycle engine: the small paper torus at
-/// `small_lab_config(seed)`.
+/// The cycle engine on the small paper torus at `small_lab_config(seed)`.
 fn small_engine(seed: u64) -> Engine<Torus2> {
     let p = PaperScenario::small();
     let (w, h) = p.extents();
@@ -546,20 +462,8 @@ fn lossless_links_charge_the_engine_and_kernel_identically() {
     // The exact leg, off the raw metrics (the unified observation keeps
     // one cost figure; the per-bucket split lives on each substrate's
     // native metrics): identical T-Man units per node, every round.
-    let p = PaperScenario::small();
-    let (w, h) = p.extents();
-    let shape = shapes::torus_grid(p.cols, p.rows, 1.0);
-    let lab = small_lab_config(11);
-    let mut e = EngineConfig::default();
-    e.tman = lab.tman;
-    e.area = lab.area;
-    e.seed = lab.seed;
-    let mut engine = Engine::new(Torus2::new(w, h), shape.clone(), e);
-    let mut n = NetSimConfig::default();
-    n.tman = lab.tman;
-    n.area = lab.area;
-    n.seed = lab.seed;
-    let mut kernel = NetSim::new(Torus2::new(w, h), shape, n);
+    let mut engine = small_engine(11);
+    let mut kernel = small_kernel(11);
     for round in 0..6 {
         let em = engine.step();
         let nm = kernel.step();

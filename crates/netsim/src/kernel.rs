@@ -43,8 +43,8 @@ use polystyrene::prelude::*;
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_protocol::pool::NodePool;
 use polystyrene_protocol::{
-    Channel, Effect, EffectSink, Event, Fate, FaultyNetwork, NetworkModel, ProtocolNode, QueryItem,
-    RoundCost, Wire,
+    Channel, Effect, EffectSink, Event, Fate, FaultyNetwork, GatewayDraw, NetworkModel,
+    ProtocolNode, RoundCost, Wire,
 };
 use polystyrene_space::MetricSpace;
 use polystyrene_topology::TopologyConstruction;
@@ -133,10 +133,8 @@ pub struct NetSim<S: MetricSpace> {
     /// the protocol plane's draw order — golden histories stay
     /// byte-identical with traffic enabled.
     traffic_net: Box<dyn NetworkModel>,
-    /// Gateway-selection stream for [`Self::offer_traffic`].
-    traffic_rng: StdRng,
-    /// Query ids, unique per simulator.
-    next_qid: u64,
+    /// Gateway draws of [`Self::offer_traffic`], on their own stream.
+    gateways: GatewayDraw,
     /// Query messages currently in transit — kept out of `in_flight`,
     /// which feeds the pinned protocol metric history.
     traffic_in_flight: usize,
@@ -254,8 +252,7 @@ impl<S: MetricSpace> NetSim<S> {
                 config.link,
                 config.seed ^ TRAFFIC_SEED_TAG,
             )),
-            traffic_rng: StdRng::seed_from_u64(config.seed ^ TRAFFIC_SEED_TAG),
-            next_qid: 0,
+            gateways: GatewayDraw::new(config.seed),
             traffic_in_flight: 0,
             detected: BTreeSet::new(),
             queue: CalendarQueue::new(),
@@ -375,42 +372,18 @@ impl<S: MetricSpace> NetSim<S> {
     /// current instant — the start of the next [`Self::step`] — and then
     /// forward hop-by-hop through node views as (batched) messages on
     /// the traffic fabric. Gateways are drawn first, in key order
-    /// against one borrow of the alive list — the exact rng stream and
-    /// qid assignment of the per-wire path — so batching changes the
-    /// envelope count, never a query's gateway or id. Gateway choice and
-    /// query transit draw from dedicated streams, so enabling traffic
-    /// leaves the protocol history byte-identical.
+    /// against one borrow of the alive list, with qids assigned in that
+    /// order, so grouping changes the envelope count, never a query's
+    /// gateway or id. Gateway choice and query transit draw from
+    /// dedicated streams, so enabling traffic leaves the protocol history
+    /// byte-identical.
     pub fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
-        if self.nodes.alive_count() == 0 {
-            return;
-        }
         let mut batch = std::mem::take(&mut self.traffic_batch);
-        batch.clear();
-        {
-            let alive = self.nodes.alive_ids();
-            let n = alive.len();
-            for idx in 0..keys.len() {
-                let gateway = alive[self.traffic_rng.random_range(0..n)];
-                self.next_qid += 1;
-                batch.push((gateway, self.next_qid, idx));
-            }
-        }
-        batch.sort_unstable();
-        let mut at = 0;
-        while at < batch.len() {
-            let gateway = batch[at].0;
+        self.gateways
+            .draw(keys.len(), self.nodes.alive_ids(), &mut batch);
+        for (gateway, items) in GatewayDraw::batches(&batch, keys, ttl) {
             let mut queries = self.sink.take_queries();
-            while at < batch.len() && batch[at].0 == gateway {
-                let (_, qid, idx) = batch[at];
-                queries.push(QueryItem {
-                    qid,
-                    origin: gateway,
-                    key: keys[idx].clone(),
-                    ttl,
-                    hops: 0,
-                });
-                at += 1;
-            }
+            queries.extend(items);
             self.schedule(
                 self.now,
                 Pending::Deliver {
@@ -421,36 +394,6 @@ impl<S: MetricSpace> NetSim<S> {
             );
         }
         self.traffic_batch = batch;
-    }
-
-    /// The pre-batching per-wire offer path: one [`Wire::Query`]
-    /// delivery event per key. Kept as a paired baseline for the
-    /// batched-vs-unbatched equivalence test and the `fig_traffic_scale`
-    /// wall-clock comparison.
-    pub fn offer_traffic_unbatched(&mut self, keys: &[S::Point], ttl: u32) {
-        if self.nodes.alive_count() == 0 {
-            return;
-        }
-        for key in keys {
-            let n = self.nodes.alive_count();
-            let gateway = self.nodes.alive_ids()[self.traffic_rng.random_range(0..n)];
-            self.next_qid += 1;
-            let wire = Wire::Query {
-                qid: self.next_qid,
-                origin: gateway,
-                key: key.clone(),
-                ttl,
-                hops: 0,
-            };
-            self.schedule(
-                self.now,
-                Pending::Deliver {
-                    from: gateway,
-                    to: gateway,
-                    wire,
-                },
-            );
-        }
     }
 
     /// Drains per-node traffic accounting accumulated since the last
@@ -594,7 +537,7 @@ impl<S: MetricSpace> NetSim<S> {
     // ------------------------------------------------------------------
 
     /// Runs one protocol round: every alive node's activation — its full
-    /// local phase pipeline, [`ProtocolNode::on_round`] — is scheduled at
+    /// local phase pipeline, [`ProtocolNode::on_round_into`] — is scheduled at
     /// a random offset within the round's tick span, then the event queue
     /// processes activations and message deliveries interleaved in
     /// `(time, seq)` order up to the round boundary. Returns the metrics

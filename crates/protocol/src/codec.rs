@@ -1,33 +1,35 @@
-//! Binary codec for the sans-IO surface: [`Wire`], [`Event`] and
-//! [`Effect`] to and from bytes.
+//! Binary codec for the sans-IO surface: [`Wire`] and [`Event`] to and
+//! from bytes.
 //!
-//! Today's two transports (the cycle engine's synchronous dispatch and
-//! the runtime's in-process channels) move these enums by value and never
-//! serialize; a real socket transport will. This module pins the encoding
-//! *now* — little-endian fixed-width scalars, one leading format-version
-//! byte, a one-byte tag per enum variant, `u64`-length-prefixed
-//! sequences — so the property suite can guard round-trip fidelity before
-//! any network code exists, and a future transport cannot quietly invent
-//! its own incompatible framing.
+//! The in-process drivers move these enums by value; the TCP transport
+//! frames one encoded [`Event`] per message. [`crate::wire::Effect`]s never
+//! leave the process that produced them, so they have no encoding. The
+//! format is little-endian fixed-width scalars, one leading format-version
+//! byte, a one-byte tag per enum variant and `u64`-length-prefixed
+//! sequences; the property suite guards its round-trip fidelity.
 //!
 //! Positions are encoded through [`PointCodec`], implemented for the
 //! workspace's concrete point types (`f64` rings, `[f64; 2]` surfaces).
 //!
 //! ```
-//! use polystyrene_protocol::codec::{decode_wire, encode_wire};
+//! use polystyrene_protocol::codec::{decode_wire, encode_wire_into};
 //! use polystyrene_protocol::wire::Wire;
 //!
 //! let wire: Wire<[f64; 2]> = Wire::Heartbeat;
-//! let bytes = encode_wire(&wire);
+//! let mut bytes = Vec::new();
+//! encode_wire_into(&mut bytes, &wire);
 //! assert_eq!(decode_wire::<[f64; 2]>(&bytes).unwrap(), wire);
 //! ```
 
-use crate::wire::{Channel, Effect, Event, QueryItem, QueryReplyItem, Wire};
+use crate::wire::{Channel, Event, QueryItem, QueryReplyItem, Wire};
 use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_membership::{Descriptor, NodeId};
 
 /// Format version written as the first byte of every encoded value.
-pub const FORMAT_VERSION: u8 = 1;
+///
+/// Version 2 retired the per-query wire tags 9 and 10: queries travel
+/// only as batches (tags 11 and 12).
+pub const FORMAT_VERSION: u8 = 2;
 
 /// Version byte of the *frame* layer a stream transport wraps encoded
 /// values in — pinned here, next to [`FORMAT_VERSION`], so the two wire
@@ -347,26 +349,6 @@ fn put_wire<P: PointCodec>(out: &mut Vec<u8>, wire: &Wire<P>) {
             put_u64(out, *removed_ids as u64);
         }
         Wire::Heartbeat => out.push(8),
-        Wire::Query {
-            qid,
-            origin,
-            key,
-            ttl,
-            hops,
-        } => {
-            out.push(9);
-            put_u64(out, *qid);
-            put_u64(out, origin.as_u64());
-            key.encode_point(out);
-            put_u32(out, *ttl);
-            put_u32(out, *hops);
-        }
-        Wire::QueryReply { qid, hops, pos } => {
-            out.push(10);
-            put_u64(out, *qid);
-            put_u32(out, *hops);
-            pos.encode_point(out);
-        }
         Wire::QueryBatch { queries } => {
             out.push(11);
             put_u64(out, queries.len() as u64);
@@ -425,18 +407,6 @@ fn get_wire<P: PointCodec>(r: &mut Reader<'_>) -> Result<Wire<P>, CodecError> {
             removed_ids: r.u64()? as usize,
         },
         8 => Wire::Heartbeat,
-        9 => Wire::Query {
-            qid: r.u64()?,
-            origin: NodeId::new(r.u64()?),
-            key: P::decode_point(r)?,
-            ttl: r.u32()?,
-            hops: r.u32()?,
-        },
-        10 => Wire::QueryReply {
-            qid: r.u64()?,
-            hops: r.u32()?,
-            pos: P::decode_point(r)?,
-        },
         11 => Wire::QueryBatch {
             queries: {
                 let n = r.len(8 + 8 + P::MIN_ENCODED_SIZE + 4 + 4)?;
@@ -494,13 +464,6 @@ fn finish<T>(r: Reader<'_>, value: T) -> Result<T, CodecError> {
     Ok(value)
 }
 
-/// Encodes one wire message.
-pub fn encode_wire<P: PointCodec>(wire: &Wire<P>) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_wire_into(&mut out, wire);
-    out
-}
-
 /// Encodes one wire message into `out`, replacing its contents but
 /// keeping its capacity — the allocation-free path for send loops that
 /// serialize many values through one buffer.
@@ -514,13 +477,6 @@ pub fn decode_wire<P: PointCodec>(bytes: &[u8]) -> Result<Wire<P>, CodecError> {
     let mut r = open(bytes)?;
     let wire = get_wire(&mut r)?;
     finish(r, wire)
-}
-
-/// Encodes one driver event.
-pub fn encode_event<P: PointCodec>(event: &Event<P>) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_event_into(&mut out, event);
-    out
 }
 
 /// Encodes one driver event into `out`, replacing its contents but
@@ -584,63 +540,22 @@ pub fn decode_event<P: PointCodec>(bytes: &[u8]) -> Result<Event<P>, CodecError>
     finish(r, event)
 }
 
-/// Encodes one node effect.
-pub fn encode_effect<P: PointCodec>(effect: &Effect<P>) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_effect_into(&mut out, effect);
-    out
-}
-
-/// Encodes one node effect into `out`, replacing its contents but
-/// keeping its capacity (see [`encode_wire_into`]).
-pub fn encode_effect_into<P: PointCodec>(out: &mut Vec<u8>, effect: &Effect<P>) {
-    start_into(out);
-    match effect {
-        Effect::Probe { peer, channel } => {
-            out.push(0);
-            put_u64(out, peer.as_u64());
-            out.push(channel_tag(*channel));
-        }
-        Effect::Send { to, wire } => {
-            out.push(1);
-            put_u64(out, to.as_u64());
-            put_wire(out, wire);
-        }
-    }
-}
-
-/// Decodes one node effect, rejecting trailing bytes.
-pub fn decode_effect<P: PointCodec>(bytes: &[u8]) -> Result<Effect<P>, CodecError> {
-    let mut r = open(bytes)?;
-    let effect = match r.u8()? {
-        0 => Effect::Probe {
-            peer: NodeId::new(r.u64()?),
-            channel: channel_from_tag(r.u8()?)?,
-        },
-        1 => Effect::Send {
-            to: NodeId::new(r.u64()?),
-            wire: get_wire(&mut r)?,
-        },
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "Effect",
-                tag,
-            })
-        }
-    };
-    finish(r, effect)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encoded<P: PointCodec>(wire: &Wire<P>) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_wire_into(&mut out, wire);
+        out
+    }
 
     #[test]
     fn truncated_input_fails_cleanly() {
         let wire: Wire<[f64; 2]> = Wire::RpsRequest {
             descriptors: vec![Descriptor::new(NodeId::new(3), [1.0, 2.0])],
         };
-        let bytes = encode_wire(&wire);
+        let bytes = encoded(&wire);
         for cut in 0..bytes.len() {
             assert!(
                 decode_wire::<[f64; 2]>(&bytes[..cut]).is_err(),
@@ -651,7 +566,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = encode_wire::<f64>(&Wire::Heartbeat);
+        let mut bytes = encoded::<f64>(&Wire::Heartbeat);
         bytes.push(0);
         assert_eq!(
             decode_wire::<f64>(&bytes),
@@ -661,7 +576,7 @@ mod tests {
 
     #[test]
     fn wrong_version_rejected() {
-        let mut bytes = encode_wire::<f64>(&Wire::Heartbeat);
+        let mut bytes = encoded::<f64>(&Wire::Heartbeat);
         bytes[0] = 99;
         assert_eq!(decode_wire::<f64>(&bytes), Err(CodecError::BadVersion(99)));
     }
@@ -678,9 +593,9 @@ mod tests {
 
     #[test]
     fn into_variants_reuse_a_dirty_buffer() {
-        // One buffer round-trips wire, event and effect back to back:
-        // each encode must fully replace the previous (longer) contents,
-        // not append to them, and must match the allocating encoder.
+        // One buffer round-trips a wire and an event back to back: each
+        // encode must fully replace the previous (longer) contents, not
+        // append to them, and must match an encode into a fresh buffer.
         let wire: Wire<[f64; 2]> = Wire::RpsReply {
             sent: vec![Descriptor::new(NodeId::new(1), [0.5, 1.5])],
             descriptors: vec![Descriptor::new(NodeId::new(2), [2.5, 3.5])],
@@ -690,50 +605,19 @@ mod tests {
             channel: Channel::Migration,
             pos: Some([4.0, 5.0]),
         };
-        let effect: Effect<[f64; 2]> = Effect::Send {
-            to: NodeId::new(4),
-            wire: Wire::Heartbeat,
-        };
 
         let mut buf = vec![0xAA; 256]; // deliberately dirty and oversized
         encode_wire_into(&mut buf, &wire);
-        assert_eq!(buf, encode_wire(&wire));
+        assert_eq!(buf, encoded(&wire));
         assert_eq!(decode_wire::<[f64; 2]>(&buf).unwrap(), wire);
 
         let cap = buf.capacity();
         encode_event_into(&mut buf, &event);
-        assert_eq!(buf, encode_event(&event));
+        let mut fresh = Vec::new();
+        encode_event_into(&mut fresh, &event);
+        assert_eq!(buf, fresh);
         assert_eq!(decode_event::<[f64; 2]>(&buf).unwrap(), event);
-
-        encode_effect_into(&mut buf, &effect);
-        assert_eq!(buf, encode_effect(&effect));
-        assert_eq!(decode_effect::<[f64; 2]>(&buf).unwrap(), effect);
         assert_eq!(buf.capacity(), cap, "reuse must keep the allocation");
-    }
-
-    #[test]
-    fn query_variants_roundtrip_through_a_dirty_buffer() {
-        let query: Wire<[f64; 2]> = Wire::Query {
-            qid: 0xFEED_BEEF,
-            origin: NodeId::new(17),
-            key: [3.25, 7.5],
-            ttl: 64,
-            hops: 5,
-        };
-        let reply: Wire<[f64; 2]> = Wire::QueryReply {
-            qid: 0xFEED_BEEF,
-            hops: 9,
-            pos: [1.0, 2.0],
-        };
-        let mut buf = vec![0x55; 300]; // dirty and oversized
-        for wire in [&query, &reply] {
-            encode_wire_into(&mut buf, wire);
-            assert_eq!(buf, encode_wire(wire));
-            assert_eq!(&decode_wire::<[f64; 2]>(&buf).unwrap(), wire);
-            for cut in 0..buf.len() {
-                assert!(decode_wire::<[f64; 2]>(&buf[..cut]).is_err());
-            }
-        }
     }
 
     #[test]
@@ -773,7 +657,7 @@ mod tests {
         let mut buf = vec![0x55; 300]; // dirty and oversized
         for wire in [&batch, &replies] {
             encode_wire_into(&mut buf, wire);
-            assert_eq!(buf, encode_wire(wire));
+            assert_eq!(buf, encoded(wire));
             assert_eq!(&decode_wire::<[f64; 2]>(&buf).unwrap(), wire);
             for cut in 0..buf.len() {
                 assert!(decode_wire::<[f64; 2]>(&buf[..cut]).is_err());
@@ -782,10 +666,7 @@ mod tests {
         // Empty batches are legal on the wire (senders elide them, but a
         // decoder must not conflate "empty" with "corrupt").
         let empty: Wire<[f64; 2]> = Wire::QueryBatch { queries: vec![] };
-        assert_eq!(
-            decode_wire::<[f64; 2]>(&encode_wire(&empty)).unwrap(),
-            empty
-        );
+        assert_eq!(decode_wire::<[f64; 2]>(&encoded(&empty)).unwrap(), empty);
     }
 
     #[test]
@@ -802,18 +683,18 @@ mod tests {
 
     #[test]
     fn unknown_tags_rejected() {
+        // 9 and 10 were the per-query wire tags of format version 1.
+        for tag in [9u8, 10, 200] {
+            let bytes = vec![FORMAT_VERSION, tag];
+            assert_eq!(
+                decode_wire::<f64>(&bytes),
+                Err(CodecError::BadTag { what: "Wire", tag })
+            );
+        }
         let bytes = vec![FORMAT_VERSION, 200];
-        assert!(matches!(
-            decode_wire::<f64>(&bytes),
-            Err(CodecError::BadTag { what: "Wire", .. })
-        ));
         assert!(matches!(
             decode_event::<f64>(&bytes),
             Err(CodecError::BadTag { what: "Event", .. })
-        ));
-        assert!(matches!(
-            decode_effect::<f64>(&bytes),
-            Err(CodecError::BadTag { what: "Effect", .. })
         ));
     }
 }

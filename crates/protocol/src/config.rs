@@ -27,8 +27,9 @@ pub struct ProtocolConfig {
     /// Ticks an initiated migration may stay unanswered before the
     /// initiator gives up and unlocks (asynchronous drivers only).
     pub migration_timeout_ticks: u32,
-    /// Ticks a gateway waits for a [`crate::wire::Wire::QueryReply`]
-    /// before writing the query off as dropped-in-hole. Expiry is lazy
+    /// Ticks a gateway waits for a query's answer (an item of a
+    /// [`crate::wire::Wire::QueryReplyBatch`]) before writing the query
+    /// off as dropped-in-hole. Expiry is lazy
     /// (checked when traffic counters are drained), so the timeout never
     /// touches the protocol phases or their entropy.
     pub query_timeout_ticks: u32,

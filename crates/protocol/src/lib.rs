@@ -27,8 +27,8 @@
 //!   [`net::LinkProfile`], [`net::FaultyNetwork`]): what a driver's
 //!   fabric does to each message — deliver after a latency, drop, or
 //!   block across a partition;
-//! * [`codec`] pins the byte encoding of the sans-IO surface before any
-//!   real transport exists, guarded by property round-trips;
+//! * [`codec`] pins the byte encoding the TCP transport frames, guarded
+//!   by property round-trips;
 //! * [`pool`] is the dense slot pool (free list, generation-stamped
 //!   [`pool::SlotRef`]s, struct-of-arrays position slab) the
 //!   deterministic drivers store their [`node::ProtocolNode`]
@@ -38,16 +38,23 @@
 //!
 //! A driver feeds the node and executes its effects:
 //!
-//! * the **cycle engine** calls [`node::ProtocolNode::on_phase`] for every
-//!   node phase-by-phase (PeerSim semantics: one global activation order
-//!   per phase) and applies effects synchronously — a [`wire::Effect::Send`]
-//!   is delivered to the destination node's
-//!   [`node::ProtocolNode::on_event`] in the same instant, which keeps
-//!   pairwise exchanges atomic and histories bit-identical to the
+//! * the **cycle engine** calls [`node::ProtocolNode::on_phase_into`] for
+//!   every node phase-by-phase (PeerSim semantics: one global activation
+//!   order per phase) and applies effects synchronously — a
+//!   [`wire::Effect::Send`] is delivered to the destination node's
+//!   [`node::ProtocolNode::on_event_into`] in the same instant, which
+//!   keeps pairwise exchanges atomic and histories bit-identical to the
 //!   pre-extraction engine;
-//! * the **threaded runtime** calls [`node::ProtocolNode::on_tick`] on a
-//!   wall-clock timer and maps each effect onto a mailbox message; replies
-//!   arrive later (or never) as [`wire::Event::Message`]s.
+//! * the **netsim kernel** calls [`node::ProtocolNode::on_round_into`] once
+//!   per jittered activation, feeding its own crash-detection verdicts,
+//!   and schedules each send as a delayed delivery event;
+//! * the **live clusters** call [`node::ProtocolNode::on_tick_into`] on a
+//!   wall-clock timer and map each effect onto a mailbox message or a
+//!   socket frame; replies arrive later (or never) as
+//!   [`wire::Event::Message`]s.
+//!
+//! Every entry point pushes its effects into a caller-owned
+//! [`wire::EffectSink`] that the driver clears and reuses between calls.
 //!
 //! Reachability is probed before a request is built
 //! ([`wire::Effect::Probe`] answered by [`wire::Event::ProbeOk`] /
@@ -75,8 +82,9 @@
 //!     contacts.clone(),
 //!     contacts,
 //! );
-//! let effects = node.on_tick(&mut rng);
-//! assert!(effects.iter().any(|e| matches!(e, Effect::Probe { .. })));
+//! let mut sink = EffectSink::new();
+//! node.on_tick_into(&mut rng, &mut sink);
+//! assert!(sink.effects().iter().any(|e| matches!(e, Effect::Probe { .. })));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -111,7 +119,9 @@ pub mod prelude {
         sample_bootstrap_contacts, select_region_victims, select_victims, PaperScenario, Scenario,
         ScenarioEvent,
     };
-    pub use crate::wire::{Channel, Effect, EffectSink, Event, QueryItem, QueryReplyItem, Wire};
+    pub use crate::wire::{
+        Channel, Effect, EffectSink, Event, GatewayDraw, QueryItem, QueryReplyItem, Wire,
+    };
 }
 
 pub use prelude::*;

@@ -10,17 +10,20 @@
 //!
 //! Two driving styles are supported by the same code paths:
 //!
-//! * **phase-wise** ([`ProtocolNode::on_phase`]): a cycle-driven engine
+//! * **phase-wise** ([`ProtocolNode::on_phase_into`]): a cycle-driven engine
 //!   activates every node once per phase in a global order, applying
 //!   effects synchronously — the PeerSim model of the paper's evaluation.
 //!   Entropy is drawn from the driver's RNG in exactly the order the
 //!   pre-extraction engine drew it, so seeded histories are bit-identical
 //!   (under an RNG-free projection such as the default medoid);
-//! * **tick-wise** ([`ProtocolNode::on_tick`]): an asynchronous runtime
-//!   runs all phases back-to-back on a local timer, with the node's
-//!   built-in heartbeat detector supplying failure verdicts and a
+//! * **tick-wise** ([`ProtocolNode::on_tick_into`]): an asynchronous
+//!   runtime runs all phases back-to-back on a local timer, with the
+//!   node's built-in heartbeat detector supplying failure verdicts and a
 //!   post-recovery re-projection compensating for migrations that may
-//!   stall (see [`ProtocolNode::on_tick`]).
+//!   stall (see [`ProtocolNode::on_tick_into`]).
+//!
+//! Every entry point pushes its effects into a caller-owned
+//! [`EffectSink`], so a driver reuses one buffer for the whole run.
 
 use crate::config::ProtocolConfig;
 use crate::wire::{Channel, Effect, EffectSink, Event, QueryItem, QueryReplyItem, Wire};
@@ -34,7 +37,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// One step of the per-tick protocol pipeline (paper Fig. 4).
 ///
-/// [`ProtocolNode::on_tick`] runs them in [`Phase::ALL`] order; a cycle
+/// [`ProtocolNode::on_tick_into`] runs them in [`Phase::ALL`] order; a cycle
 /// driver runs each phase across the whole population before moving to
 /// the next, which is exactly PeerSim's cycle-driven semantics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,7 +127,7 @@ pub struct ProtocolNode<S: MetricSpace> {
     pub poly: PolyState<S::Point>,
     /// Heartbeat bookkeeping: last local tick we heard from a peer.
     last_seen: BTreeMap<NodeId, u64>,
-    /// Local protocol clock, advanced by [`ProtocolNode::on_tick`] only —
+    /// Local protocol clock, advanced by the tick-wise entry points only —
     /// a cycle driver resolves every exchange within one activation, so
     /// it never needs the clock.
     clock: u64,
@@ -135,8 +138,8 @@ pub struct ProtocolNode<S: MetricSpace> {
     /// Migration-split points handed out but not yet acknowledged, by
     /// initiator (see [`ParkedHandout`]).
     handouts: BTreeMap<NodeId, ParkedHandout<S::Point>>,
-    /// Queries this node gatewayed that still await a
-    /// [`Wire::QueryReply`], by query id → local clock at issue.
+    /// Queries this node gatewayed that still await their answer, by
+    /// query id → local clock at issue.
     pending_queries: BTreeMap<u64, u64>,
     /// Queries issued through this gateway since the last drain.
     traffic_offered: u64,
@@ -217,17 +220,6 @@ impl<S: MetricSpace> ProtocolNode<S> {
     /// Ids of the parked handout points. Survival accounting must count
     /// these: mid-handover a point may exist *only* here (the carrying
     /// reply still in flight), yet it is not lost.
-    ///
-    /// Allocates a fresh `Vec`; observation paths that only need to walk
-    /// or count the ids should use [`ProtocolNode::parked_point_ids`]
-    /// instead.
-    pub fn parked_ids(&self) -> Vec<PointId> {
-        self.parked_point_ids().collect()
-    }
-
-    /// Iterator over the parked handout points' ids — the allocation-free
-    /// accessor for per-round observation (counting every node's parked
-    /// ids used to build a throwaway `Vec<PointId>` per node per round).
     pub fn parked_point_ids(&self) -> impl Iterator<Item = PointId> + '_ {
         self.handouts
             .values()
@@ -236,14 +228,15 @@ impl<S: MetricSpace> ProtocolNode<S> {
 
     /// Advances the node's local protocol clock by one unit without
     /// running any phase — for drivers (and tests) that pass time
-    /// explicitly between individual [`ProtocolNode::on_phase`] calls,
+    /// explicitly between individual [`ProtocolNode::on_phase_into`] calls,
     /// so the tick-denominated timeouts (the in-flight migration lock,
     /// the parked-handout re-adoption) make progress.
     ///
-    /// Do **not** combine with [`ProtocolNode::on_tick`] or
-    /// [`ProtocolNode::on_round`]: both advance the clock themselves (the
-    /// discrete-event network simulator drives nodes through `on_round`
-    /// alone), and adding this on top would halve every timeout.
+    /// Do **not** combine with [`ProtocolNode::on_tick_into`] or
+    /// [`ProtocolNode::on_round_into`]: both advance the clock themselves
+    /// (the discrete-event network simulator drives nodes through
+    /// `on_round_into` alone), and adding this on top would halve every
+    /// timeout.
     pub fn advance_clock(&mut self) {
         self.clock += 1;
     }
@@ -329,6 +322,16 @@ impl<S: MetricSpace> ProtocolNode<S> {
         self.pending_queries.clear();
     }
 
+    /// Records the completion of a query this node gatewayed, with its
+    /// latency measured from issue on the local clock. A query that is no
+    /// longer pending (already answered, or written off) is ignored.
+    fn complete_query(&mut self, qid: u64, hops: u32) {
+        if let Some(issued) = self.pending_queries.remove(&qid) {
+            self.traffic_samples
+                .push((hops, self.clock.saturating_sub(issued)));
+        }
+    }
+
     /// The view entry strictly closer to `key` than this node itself —
     /// the next hop of greedy query forwarding. Deterministic (pure
     /// argmin over the T-Man view, no entropy) and strictly improving,
@@ -360,15 +363,6 @@ impl<S: MetricSpace> ProtocolNode<S> {
     /// reactivated ghosts re-projects the position immediately: the
     /// topology layer must not keep advertising coordinates unrelated to
     /// the newly adopted guests.
-    pub fn on_tick<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<Effect<S::Point>> {
-        let mut sink = EffectSink::new();
-        self.on_tick_into(rng, &mut sink);
-        sink.into_effects()
-    }
-
-    /// Sink-based twin of [`ProtocolNode::on_tick`]: pushes the round's
-    /// effects into a caller-supplied (and typically reused) buffer
-    /// instead of allocating a fresh `Vec` per activation.
     pub fn on_tick_into<R: Rng + ?Sized>(&mut self, rng: &mut R, sink: &mut EffectSink<S::Point>) {
         self.clock += 1;
         let suspects = self.suspects();
@@ -378,22 +372,11 @@ impl<S: MetricSpace> ProtocolNode<S> {
 
     /// One full local protocol round with failure verdicts supplied by
     /// the driver — the asynchronous *phase-external* twin of
-    /// [`ProtocolNode::on_tick`], for drivers that own the failure
+    /// [`ProtocolNode::on_tick_into`], for drivers that own the failure
     /// knowledge themselves (the discrete-event network simulator feeds
     /// its crash-detection events here) but still deliver effects
     /// asynchronously, so the clock must advance and recoveries must
     /// re-project immediately.
-    pub fn on_round<R: Rng + ?Sized>(
-        &mut self,
-        fd: &dyn Fn(NodeId) -> bool,
-        rng: &mut R,
-    ) -> Vec<Effect<S::Point>> {
-        let mut sink = EffectSink::new();
-        self.on_round_into(fd, rng, &mut sink);
-        sink.into_effects()
-    }
-
-    /// Sink-based twin of [`ProtocolNode::on_round`].
     pub fn on_round_into<R: Rng + ?Sized>(
         &mut self,
         fd: &dyn Fn(NodeId) -> bool,
@@ -404,7 +387,8 @@ impl<S: MetricSpace> ProtocolNode<S> {
         self.run_local_round(fd, rng, sink);
     }
 
-    /// Shared body of [`ProtocolNode::on_tick`] / [`ProtocolNode::on_round`]:
+    /// Shared body of [`ProtocolNode::on_tick_into`] /
+    /// [`ProtocolNode::on_round_into`]:
     /// every phase in order, with the asynchronous-driver recovery rule
     /// (re-project right away — a migration that would otherwise fix the
     /// position may stall for rounds).
@@ -427,21 +411,9 @@ impl<S: MetricSpace> ProtocolNode<S> {
 
     /// One protocol phase, with failure verdicts supplied by the driver —
     /// the cycle-driven entry point (the engine passes its simulated
-    /// detector; [`ProtocolNode::on_tick`] passes the heartbeat one).
-    pub fn on_phase<R: Rng + ?Sized>(
-        &mut self,
-        phase: Phase,
-        fd: &dyn Fn(NodeId) -> bool,
-        rng: &mut R,
-    ) -> Vec<Effect<S::Point>> {
-        let mut sink = EffectSink::new();
-        self.on_phase_into(phase, fd, rng, &mut sink);
-        sink.into_effects()
-    }
-
-    /// Sink-based twin of [`ProtocolNode::on_phase`] — the cycle engine's
-    /// hot entry point: one sink serves the whole population, so the
-    /// steady state of a phase sweep performs no effect allocation at all.
+    /// detector; [`ProtocolNode::on_tick_into`] passes the heartbeat one).
+    /// One sink serves the whole population, so the steady state of a
+    /// phase sweep performs no effect allocation at all.
     pub fn on_phase_into<R: Rng + ?Sized>(
         &mut self,
         phase: Phase,
@@ -461,18 +433,8 @@ impl<S: MetricSpace> ProtocolNode<S> {
         }
     }
 
-    /// Handles one driver event and returns the follow-up effects.
-    pub fn on_event<R: Rng + ?Sized>(
-        &mut self,
-        event: Event<S::Point>,
-        rng: &mut R,
-    ) -> Vec<Effect<S::Point>> {
-        let mut sink = EffectSink::new();
-        self.on_event_into(event, rng, &mut sink);
-        sink.into_effects()
-    }
-
-    /// Sink-based twin of [`ProtocolNode::on_event`].
+    /// Handles one driver event, pushing the follow-up effects into
+    /// `sink`.
     pub fn on_event_into<R: Rng + ?Sized>(
         &mut self,
         event: Event<S::Point>,
@@ -495,7 +457,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
 
     /// Recovery pass (Algorithm 2): reactivate ghosts of failed holders.
     /// RNG-free and purely local, which is why cycle drivers may fan it
-    /// out across cores; [`ProtocolNode::on_phase`] routes
+    /// out across cores; [`ProtocolNode::on_phase_into`] routes
     /// [`Phase::Recovery`] here.
     pub fn recover_ghosts(&mut self, fd: &dyn Fn(NodeId) -> bool) -> RecoveryOutcome {
         recover(&mut self.poly, fd)
@@ -968,66 +930,13 @@ impl<S: MetricSpace> ProtocolNode<S> {
                     sink.put_points(replaced);
                 }
             }
-            Wire::Query {
-                qid,
-                origin,
-                key,
-                ttl,
-                hops,
-            } => {
+            Wire::QueryBatch { mut queries } => {
                 // A query arriving at its own origin with zero hops is
                 // the gateway injection: register it before routing.
-                if origin == self.id && hops == 0 {
-                    self.traffic_offered += 1;
-                    self.pending_queries.insert(qid, self.clock);
-                }
-                match self.closer_view_entry(&key) {
-                    Some(next) if hops < ttl => {
-                        sink.push(Effect::Send {
-                            to: next,
-                            wire: Wire::Query {
-                                qid,
-                                origin,
-                                key,
-                                ttl,
-                                hops: hops + 1,
-                            },
-                        });
-                    }
-                    // Terminal: nobody in the view is closer (greedy
-                    // minimum — ideally the key's true closest node) or
-                    // the budget ran out. Answer the gateway.
-                    _ => {
-                        if origin == self.id {
-                            if self.pending_queries.remove(&qid).is_some() {
-                                self.traffic_samples.push((hops, 0));
-                            }
-                        } else {
-                            sink.push(Effect::Send {
-                                to: origin,
-                                wire: Wire::QueryReply {
-                                    qid,
-                                    hops,
-                                    pos: self.poly.pos.clone(),
-                                },
-                            });
-                        }
-                    }
-                }
-            }
-            Wire::QueryReply { qid, hops, .. } => {
-                if let Some(issued) = self.pending_queries.remove(&qid) {
-                    self.traffic_samples
-                        .push((hops, self.clock.saturating_sub(issued)));
-                }
-            }
-            Wire::QueryBatch { mut queries } => {
-                // Each item follows the exact `Wire::Query` semantics
-                // above — same registration, same greedy argmin, same
-                // per-query hop accounting — but the forwards regroup by
-                // next-hop and the terminal answers by origin, so one
-                // envelope in yields at most one envelope per
-                // destination out instead of one effect per query.
+                // Forwards regroup by next hop and terminal answers by
+                // origin, so one envelope in yields at most one envelope
+                // per destination out; each item keeps its own hop
+                // accounting.
                 let mut forwards = sink.take_query_groups();
                 let mut replies = sink.take_reply_groups();
                 for QueryItem {
@@ -1059,11 +968,12 @@ impl<S: MetricSpace> ProtocolNode<S> {
                                 hops: hops + 1,
                             });
                         }
+                        // Terminal: nobody in the view is closer (greedy
+                        // minimum — ideally the key's true closest node)
+                        // or the budget ran out. Answer the gateway.
                         _ => {
                             if origin == self.id {
-                                if self.pending_queries.remove(&qid).is_some() {
-                                    self.traffic_samples.push((hops, 0));
-                                }
+                                self.complete_query(qid, hops);
                             } else {
                                 let slot = match replies.iter().position(|(to, _)| *to == origin) {
                                     Some(i) => i,
@@ -1099,10 +1009,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
             }
             Wire::QueryReplyBatch { mut replies } => {
                 for QueryReplyItem { qid, hops, .. } in replies.drain(..) {
-                    if let Some(issued) = self.pending_queries.remove(&qid) {
-                        self.traffic_samples
-                            .push((hops, self.clock.saturating_sub(issued)));
-                    }
+                    self.complete_query(qid, hops);
                 }
                 sink.put_replies(replies);
             }
@@ -1139,6 +1046,18 @@ mod tests {
         )
     }
 
+    /// Feeds one event through [`ProtocolNode::on_event_into`] and drains
+    /// the effects it pushed.
+    fn handle(
+        node: &mut ProtocolNode<Euclidean2>,
+        event: Event<[f64; 2]>,
+        rng: &mut StdRng,
+    ) -> Vec<Effect<[f64; 2]>> {
+        let mut sink = EffectSink::new();
+        node.on_event_into(event, rng, &mut sink);
+        sink.drain().collect()
+    }
+
     /// Synchronous two-node loopback: runs `a`'s effects against `b`,
     /// delivering sends and answering probes from ground truth — a
     /// miniature cycle driver.
@@ -1169,7 +1088,7 @@ mod tests {
                     } else {
                         Event::PeerUnreachable { peer, channel }
                     };
-                    queue.extend(me.on_event(event, rng).into_iter().map(|e| (from_a, e)));
+                    queue.extend(handle(me, event, rng).into_iter().map(|e| (from_a, e)));
                 }
                 Effect::Send { to, wire } => {
                     if to == other.id() {
@@ -1177,7 +1096,7 @@ mod tests {
                             from: me.id(),
                             wire,
                         };
-                        queue.extend(other.on_event(event, rng).into_iter().map(|e| (!from_a, e)));
+                        queue.extend(handle(other, event, rng).into_iter().map(|e| (!from_a, e)));
                     }
                     // Sends to anyone else are lost in this two-node world.
                 }
@@ -1190,11 +1109,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut a = founder(0, 0.0, vec![desc(1, 1.0, 0.0)]);
         let mut b = founder(1, 1.0, vec![desc(0, 0.0, 0.0)]);
+        let mut sink = EffectSink::new();
         for _ in 0..6 {
-            let ea = a.on_tick(&mut rng);
-            loopback(&mut a, &mut b, ea, &mut rng);
-            let eb = b.on_tick(&mut rng);
-            loopback(&mut b, &mut a, eb, &mut rng);
+            a.on_tick_into(&mut rng, &mut sink);
+            loopback(&mut a, &mut b, sink.drain().collect(), &mut rng);
+            b.on_tick_into(&mut rng, &mut sink);
+            loopback(&mut b, &mut a, sink.drain().collect(), &mut rng);
         }
         // Both learned each other on the topology layer…
         assert!(a.tman.view_entries().iter().any(|d| d.id == b.id()));
@@ -1210,7 +1130,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut a = founder(0, 0.0, vec![desc(9, 2.0, 0.0)]);
         assert!(a.rps.view().contains(NodeId::new(9)));
-        a.on_event(
+        handle(
+            &mut a,
             Event::PeerUnreachable {
                 peer: NodeId::new(9),
                 channel: Channel::PeerSampling,
@@ -1219,7 +1140,8 @@ mod tests {
         );
         assert!(!a.rps.view().contains(NodeId::new(9)));
         assert!(a.tman.view_entries().iter().any(|d| d.id == NodeId::new(9)));
-        a.on_event(
+        handle(
+            &mut a,
             Event::PeerUnreachable {
                 peer: NodeId::new(9),
                 channel: Channel::Topology,
@@ -1234,7 +1156,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut b = founder(1, 1.0, vec![desc(0, 0.0, 0.0)]);
         // Put b mid-exchange with node 7.
-        let opened = b.on_event(
+        let opened = handle(
+            &mut b,
             Event::ProbeOk {
                 peer: NodeId::new(7),
                 channel: Channel::Migration,
@@ -1251,7 +1174,8 @@ mod tests {
         ));
         assert_eq!(b.pending_migration(), Some(NodeId::new(7)));
         let incoming = vec![DataPoint::new(PointId::new(40), [0.5, 0.0])];
-        let effects = b.on_event(
+        let effects = handle(
+            &mut b,
             Event::Message {
                 from: NodeId::new(0),
                 wire: Wire::MigrationRequest {
@@ -1283,7 +1207,8 @@ mod tests {
         let mut b = founder(1, 10.0, vec![desc(0, 0.0, 0.0)]);
         b.poly
             .absorb_guests(vec![DataPoint::new(PointId::new(30), [9.0, 0.0])]);
-        let effects = b.on_event(
+        let effects = handle(
+            &mut b,
             Event::Message {
                 from: NodeId::new(0),
                 wire: Wire::MigrationRequest {
@@ -1322,7 +1247,8 @@ mod tests {
         let mut b = founder(1, 10.0, vec![desc(0, 0.0, 0.0)]);
         b.poly
             .absorb_guests(vec![DataPoint::new(PointId::new(30), [0.3, 0.0])]);
-        let effects = b.on_event(
+        let effects = handle(
+            &mut b,
             Event::Message {
                 from: NodeId::new(0),
                 wire: Wire::MigrationRequest {
@@ -1360,11 +1286,15 @@ mod tests {
         // Only point 30 is parked: the shipped point 20 stays safe with
         // the initiator until the reply lands, so parking it too would
         // just duplicate it on every lost reply.
-        assert_eq!(b.parked_ids(), vec![PointId::new(30)]);
+        assert_eq!(
+            b.parked_point_ids().collect::<Vec<_>>(),
+            vec![PointId::new(30)]
+        );
         // A stale ack — from an exchange generation the initiator already
         // timed out — must NOT release this handout: its reply may still
         // be dropped, and the parking is the only safety copy.
-        let _ = b.on_event(
+        handle(
+            &mut b,
             Event::Message {
                 from: NodeId::new(0),
                 wire: Wire::MigrationAck { xid: 6 },
@@ -1376,7 +1306,8 @@ mod tests {
             1,
             "a stale-generation ack must not clear a newer handout"
         );
-        let follow_up = b.on_event(
+        let follow_up = handle(
+            &mut b,
             Event::Message {
                 from: NodeId::new(0),
                 wire: Wire::MigrationAck { xid: 7 },
@@ -1392,7 +1323,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let mut a = founder(0, 0.0, vec![desc(1, 1.0, 0.0)]);
         // Exchange 1 with node 1, which times out…
-        let _ = a.on_event(
+        handle(
+            &mut a,
             Event::ProbeOk {
                 peer: NodeId::new(1),
                 channel: Channel::Migration,
@@ -1403,9 +1335,11 @@ mod tests {
         for _ in 0..=a.config().migration_timeout_ticks {
             a.advance_clock();
         }
-        let _ = a.on_phase(Phase::Migration, &|id| id != NodeId::new(1), &mut rng);
+        let fd = |id| id != NodeId::new(1);
+        a.on_phase_into(Phase::Migration, &fd, &mut rng, &mut EffectSink::new());
         // …then exchange 2 with the same partner.
-        let _ = a.on_event(
+        handle(
+            &mut a,
             Event::ProbeOk {
                 peer: NodeId::new(1),
                 channel: Channel::Migration,
@@ -1417,7 +1351,8 @@ mod tests {
         // The slow reply to exchange 1 finally lands: it must be absorbed
         // via the late path and acked with ITS generation — exchange 2
         // stays pending, so its real reply can still resolve it.
-        let effects = a.on_event(
+        let effects = handle(
+            &mut a,
             Event::Message {
                 from: NodeId::new(1),
                 wire: Wire::MigrationReply {
@@ -1455,7 +1390,12 @@ mod tests {
         for _ in 0..=b.config().migration_timeout_ticks {
             b.advance_clock();
         }
-        let _ = b.on_phase(Phase::Migration, &|_| false, &mut rng);
+        b.on_phase_into(
+            Phase::Migration,
+            &|_| false,
+            &mut rng,
+            &mut EffectSink::new(),
+        );
         assert_eq!(b.parked_points(), 0);
         assert!(
             b.poly.guests.iter().any(|g| g.id == PointId::new(30)),
@@ -1468,7 +1408,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut b = responder_with_contribution(&mut rng);
         assert_eq!(b.parked_points(), 1);
-        let _ = b.on_event(
+        handle(
+            &mut b,
             Event::PeerUnreachable {
                 peer: NodeId::new(0),
                 channel: Channel::Migration,
@@ -1486,7 +1427,8 @@ mod tests {
     fn heartbeat_silence_raises_suspicion_and_recovery_reactivates() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut a = founder(0, 0.0, vec![desc(1, 1.0, 0.0)]);
-        a.on_event(
+        handle(
+            &mut a,
             Event::Message {
                 from: NodeId::new(5),
                 wire: Wire::BackupPush {
@@ -1500,19 +1442,35 @@ mod tests {
         assert!(a.suspects().is_empty());
         // While the ghosts are held, 5 is monitored: the first tick
         // heartbeats it back.
-        let effects = a.on_tick(&mut rng);
-        assert!(effects.iter().any(|e| matches!(
+        let mut sink = EffectSink::new();
+        a.on_tick_into(&mut rng, &mut sink);
+        assert!(sink.effects().iter().any(|e| matches!(
             e,
             Effect::Send { to, wire: Wire::Heartbeat } if *to == NodeId::new(5)
         )));
         // Silence past the heartbeat timeout: suspicion arises and the
         // same tick's recovery phase reactivates the ghosts.
         for _ in 0..=a.config().heartbeat_timeout_ticks {
-            let _ = a.on_tick(&mut rng);
+            sink.clear();
+            a.on_tick_into(&mut rng, &mut sink);
         }
         assert!(a.suspects().contains(&NodeId::new(5)));
         assert!(a.poly.ghosts.is_empty());
         assert!(a.poly.guests.iter().any(|g| g.id == PointId::new(50)));
+    }
+
+    /// A one-query batch, as a gateway injection (`hops == 0` at the
+    /// origin) or a hop in flight.
+    fn query(qid: u64, origin: u64, key: [f64; 2], ttl: u32, hops: u32) -> Wire<[f64; 2]> {
+        Wire::QueryBatch {
+            queries: vec![QueryItem {
+                qid,
+                origin: NodeId::new(origin),
+                key,
+                ttl,
+                hops,
+            }],
+        }
     }
 
     /// Injects a query at `node` through its own gateway, as a driver
@@ -1525,19 +1483,8 @@ mod tests {
         rng: &mut StdRng,
     ) -> Vec<Effect<[f64; 2]>> {
         let origin = node.id();
-        node.on_event(
-            Event::Message {
-                from: origin,
-                wire: Wire::Query {
-                    qid,
-                    origin,
-                    key,
-                    ttl,
-                    hops: 0,
-                },
-            },
-            rng,
-        )
+        let wire = query(qid, origin.as_u64(), key, ttl, 0);
+        handle(node, Event::Message { from: origin, wire }, rng)
     }
 
     #[test]
@@ -1563,31 +1510,30 @@ mod tests {
         match effects.as_slice() {
             [Effect::Send {
                 to,
-                wire: Wire::Query { qid, hops, .. },
+                wire: Wire::QueryBatch { queries },
             }] => {
                 assert_eq!(
                     *to,
                     NodeId::new(2),
                     "argmin of the view, not just any closer"
                 );
-                assert_eq!(*qid, 9);
-                assert_eq!(*hops, 1);
+                assert_eq!(queries.len(), 1);
+                assert_eq!(queries[0].qid, 9);
+                assert_eq!(queries[0].hops, 1);
             }
             other => panic!("expected a forwarded query, got {other:?}"),
         }
         assert_eq!(a.pending_query_count(), 1);
         // The remote terminus answers; the gateway records the completion.
-        let _ = a.on_event(
-            Event::Message {
-                from: NodeId::new(2),
-                wire: Wire::QueryReply {
-                    qid: 9,
-                    hops: 1,
-                    pos: [3.0, 0.0],
-                },
-            },
-            &mut rng,
-        );
+        let answer = Wire::QueryReplyBatch {
+            replies: vec![QueryReplyItem {
+                qid: 9,
+                hops: 1,
+                pos: [3.0, 0.0],
+            }],
+        };
+        let from = NodeId::new(2);
+        handle(&mut a, Event::Message { from, wire: answer }, &mut rng);
         let mut samples = Vec::new();
         let (offered, delivered, dropped) = a.take_traffic(&mut samples);
         assert_eq!((offered, delivered, dropped), (1, 1, 0));
@@ -1595,35 +1541,54 @@ mod tests {
     }
 
     #[test]
+    fn query_looping_back_to_its_gateway_records_its_true_latency() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut a = founder(0, 0.0, vec![desc(2, 3.0, 0.0)]);
+        let effects = inject_query(&mut a, 12, [2.0, 0.0], 8, &mut rng);
+        assert_eq!(effects.len(), 1, "forwarded toward node 2");
+        a.advance_clock();
+        a.advance_clock();
+        // Two ticks later the query is back at its own gateway with two
+        // hops taken, and its key now sits closest to the gateway: it
+        // terminates there, and the sample must carry the two ticks.
+        let wire = query(12, 0, [0.1, 0.0], 8, 2);
+        let from = NodeId::new(2);
+        let effects = handle(&mut a, Event::Message { from, wire }, &mut rng);
+        assert!(effects.is_empty(), "terminal at the gateway sends nothing");
+        let mut samples = Vec::new();
+        let (offered, delivered, dropped) = a.take_traffic(&mut samples);
+        assert_eq!((offered, delivered, dropped), (1, 1, 0));
+        assert_eq!(samples, vec![(2, 2)]);
+    }
+
+    /// Delivers one in-flight query hop to `node` and returns its single
+    /// reply item, sent to the query's origin.
+    fn terminal_reply(
+        node: &mut ProtocolNode<Euclidean2>,
+        wire: Wire<[f64; 2]>,
+        rng: &mut StdRng,
+    ) -> (NodeId, QueryReplyItem<[f64; 2]>) {
+        let from = NodeId::new(0);
+        let effects = handle(node, Event::Message { from, wire }, rng);
+        match effects.as_slice() {
+            [Effect::Send {
+                to,
+                wire: Wire::QueryReplyBatch { replies },
+            }] if replies.len() == 1 => (*to, replies[0].clone()),
+            other => panic!("expected one reply to the gateway, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn non_origin_terminus_replies_to_the_gateway() {
         let mut rng = StdRng::seed_from_u64(23);
         let mut b = founder(1, 1.0, vec![desc(5, 9.0, 0.0)]);
         // b is the closest to the key among what it can see: terminal.
-        let effects = b.on_event(
-            Event::Message {
-                from: NodeId::new(0),
-                wire: Wire::Query {
-                    qid: 4,
-                    origin: NodeId::new(0),
-                    key: [1.2, 0.0],
-                    ttl: 8,
-                    hops: 3,
-                },
-            },
-            &mut rng,
-        );
-        match effects.as_slice() {
-            [Effect::Send {
-                to,
-                wire: Wire::QueryReply { qid, hops, pos },
-            }] => {
-                assert_eq!(*to, NodeId::new(0));
-                assert_eq!(*qid, 4);
-                assert_eq!(*hops, 3);
-                assert_eq!(*pos, [1.0, 0.0]);
-            }
-            other => panic!("expected a reply to the gateway, got {other:?}"),
-        }
+        let (to, reply) = terminal_reply(&mut b, query(4, 0, [1.2, 0.0], 8, 3), &mut rng);
+        assert_eq!(to, NodeId::new(0));
+        assert_eq!(reply.qid, 4);
+        assert_eq!(reply.hops, 3);
+        assert_eq!(reply.pos, [1.0, 0.0]);
         // Relaying leaves no gateway state behind on the terminus.
         assert_eq!(b.pending_query_count(), 0);
     }
@@ -1632,30 +1597,11 @@ mod tests {
     fn exhausted_ttl_terminates_at_the_current_hop() {
         let mut rng = StdRng::seed_from_u64(24);
         let mut b = founder(1, 1.0, vec![desc(2, 3.0, 0.0)]);
-        // Node 2 is strictly closer to the key, but the budget is spent.
-        let effects = b.on_event(
-            Event::Message {
-                from: NodeId::new(0),
-                wire: Wire::Query {
-                    qid: 5,
-                    origin: NodeId::new(0),
-                    key: [3.0, 0.0],
-                    ttl: 2,
-                    hops: 2,
-                },
-            },
-            &mut rng,
-        );
-        assert!(
-            matches!(
-                effects.as_slice(),
-                [Effect::Send {
-                    wire: Wire::QueryReply { .. },
-                    ..
-                }]
-            ),
-            "a spent budget must answer from where the query stands"
-        );
+        // Node 2 is strictly closer to the key, but the budget is spent:
+        // a spent budget must answer from where the query stands.
+        let (to, reply) = terminal_reply(&mut b, query(5, 0, [3.0, 0.0], 2, 2), &mut rng);
+        assert_eq!(to, NodeId::new(0));
+        assert_eq!((reply.qid, reply.hops), (5, 2));
     }
 
     #[test]
@@ -1697,10 +1643,11 @@ mod tests {
             vec![desc(0, 0.0, 0.0)],
             vec![desc(0, 0.0, 0.0)],
         );
-        let effects = joiner.on_phase(Phase::Migration, &|_| false, &mut rng);
+        let mut sink = EffectSink::new();
+        joiner.on_phase_into(Phase::Migration, &|_| false, &mut rng, &mut sink);
         assert!(
             matches!(
-                effects.as_slice(),
+                sink.effects(),
                 [Effect::Probe {
                     channel: Channel::Migration,
                     ..

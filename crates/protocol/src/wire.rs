@@ -3,6 +3,8 @@
 
 use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_membership::{Descriptor, NodeId};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The protocol layer an exchange belongs to — used to route
 /// delivery-failure feedback to the right purge logic.
@@ -124,56 +126,33 @@ pub enum Wire<P> {
     },
     /// Liveness beacon along backup relationships.
     Heartbeat,
-    /// Application-plane key lookup hopping greedily toward `key`: each
-    /// node forwards to the view entry strictly closest to the key, so
-    /// the route is served entirely from local knowledge — exactly what
-    /// degrades when the overlay loses its shape. Handling a query draws
+    /// Application-plane key lookups sharing one envelope, all bound for
+    /// the same node. Each item hops greedily toward its `key`: a node
+    /// forwards it to the view entry strictly closest to the key, so the
+    /// route is served entirely from local knowledge — exactly what
+    /// degrades when the overlay loses its shape. Handling a batch draws
     /// **no protocol entropy** (forwarding is a deterministic argmin over
     /// the view), so enabling traffic cannot shift a single rng draw of
-    /// the fingerprint-pinned protocol schedules.
-    Query {
-        /// Query generation id, unique per origin substrate.
-        qid: u64,
-        /// The gateway node that issued the lookup and awaits the reply.
-        origin: NodeId,
-        /// The key's position in the data space.
-        key: P,
-        /// Remaining hop budget.
-        ttl: u32,
-        /// Hops taken so far.
-        hops: u32,
-    },
-    /// Terminal answer to a [`Wire::Query`], sent straight back to the
-    /// origin by the node whose view has no entry closer to the key.
-    QueryReply {
-        /// The answered query's generation id.
-        qid: u64,
-        /// Hops the query took to reach the terminal node.
-        hops: u32,
-        /// The terminal node's position (the resolved "responsible"
-        /// location for the key).
-        pos: P,
-    },
-    /// A batch of co-destined queries sharing one envelope. Semantically
-    /// identical to delivering each [`Wire::Query`] item in order; the
-    /// batch only amortizes per-message dispatch (one kernel event, one
-    /// frame, one mailbox send). Each item keeps its own `hops`/`ttl`, so
-    /// grouping by next-hop preserves per-query hop accounting exactly.
+    /// the fingerprint-pinned protocol schedules. The envelope amortizes
+    /// per-message dispatch (one kernel event, one frame, one mailbox
+    /// send); each item keeps its own `hops`/`ttl`, so regrouping by
+    /// next hop preserves per-query hop accounting exactly.
     QueryBatch {
         /// The batched queries, in offer/forward order.
         queries: Vec<QueryItem<P>>,
     },
-    /// A batch of co-destined query replies (all bound for the same
-    /// origin gateway), the terminal counterpart of [`Wire::QueryBatch`].
+    /// Terminal answers bound for one origin gateway, sent by the node
+    /// where those queries stopped: its view held no entry closer to the
+    /// key, or the hop budget ran out.
     QueryReplyBatch {
         /// The batched replies, in resolution order.
         replies: Vec<QueryReplyItem<P>>,
     },
 }
 
-/// One query of a [`Wire::QueryBatch`] — the payload fields of
-/// [`Wire::Query`] as a plain struct, so co-destined queries can share
-/// an envelope (and a pooled buffer) without losing per-query state.
+/// One query of a [`Wire::QueryBatch`]: a key lookup with its own hop
+/// budget and hop count, so co-destined queries can share an envelope
+/// (and a pooled buffer) without losing per-query state.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueryItem<P> {
     /// Query generation id, unique per origin substrate.
@@ -188,8 +167,8 @@ pub struct QueryItem<P> {
     pub hops: u32,
 }
 
-/// One reply of a [`Wire::QueryReplyBatch`] — the payload fields of
-/// [`Wire::QueryReply`] as a plain struct.
+/// One reply of a [`Wire::QueryReplyBatch`]: the answered query and
+/// where it resolved.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueryReplyItem<P> {
     /// The answered query's generation id.
@@ -198,6 +177,65 @@ pub struct QueryReplyItem<P> {
     pub hops: u32,
     /// The terminal node's position.
     pub pos: P,
+}
+
+/// The gateway assignment every substrate's offer path shares: one
+/// uniformly random alive gateway per key, drawn in key order from a
+/// dedicated traffic stream (`seed ^ TRAFFIC_SEED_TAG`), with qids
+/// counting up in the same order. Offering traffic therefore never
+/// touches a protocol-plane rng, and batching changes the envelope
+/// count, never a query's gateway or id.
+#[derive(Debug)]
+pub struct GatewayDraw {
+    rng: StdRng,
+    next_qid: u64,
+}
+
+impl GatewayDraw {
+    /// A fresh draw stream off a substrate seed.
+    pub fn new(seed: u64) -> Self {
+        Self {
+            rng: StdRng::seed_from_u64(seed ^ crate::TRAFFIC_SEED_TAG),
+            next_qid: 0,
+        }
+    }
+
+    /// Draws a gateway from `alive` for each of `keys` keys into `drawn`
+    /// as `(gateway, qid, key index)` triples, sorted so that each
+    /// gateway's draws form one run in qid order. Draws nothing when
+    /// `alive` is empty.
+    pub fn draw(&mut self, keys: usize, alive: &[NodeId], drawn: &mut Vec<(NodeId, u64, usize)>) {
+        drawn.clear();
+        if alive.is_empty() {
+            return;
+        }
+        for idx in 0..keys {
+            let gateway = alive[self.rng.random_range(0..alive.len())];
+            self.next_qid += 1;
+            drawn.push((gateway, self.next_qid, idx));
+        }
+        drawn.sort_unstable();
+    }
+
+    /// One batch per gateway of a sorted draw: the gateway and its
+    /// queries, each at hop 0, in qid order.
+    pub fn batches<'a, P: Clone>(
+        drawn: &'a [(NodeId, u64, usize)],
+        keys: &'a [P],
+        ttl: u32,
+    ) -> impl Iterator<Item = (NodeId, impl ExactSizeIterator<Item = QueryItem<P>> + 'a)> + 'a {
+        drawn.chunk_by(|a, b| a.0 == b.0).map(move |run| {
+            let origin = run[0].0;
+            let queries = run.iter().map(move |&(_, qid, idx)| QueryItem {
+                qid,
+                origin,
+                key: keys[idx].clone(),
+                ttl,
+                hops: 0,
+            });
+            (origin, queries)
+        })
+    }
 }
 
 impl<P> Wire<P> {
@@ -211,34 +249,12 @@ impl<P> Wire<P> {
             | Wire::MigrationAck { .. } => Channel::Migration,
             Wire::BackupPush { .. } => Channel::Backup,
             Wire::Heartbeat => Channel::Heartbeat,
-            Wire::Query { .. }
-            | Wire::QueryReply { .. }
-            | Wire::QueryBatch { .. }
-            | Wire::QueryReplyBatch { .. } => Channel::Query,
-        }
-    }
-
-    /// Short tag for logging and tests.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Wire::RpsRequest { .. } => "rps_request",
-            Wire::RpsReply { .. } => "rps_reply",
-            Wire::TManRequest { .. } => "tman_request",
-            Wire::TManReply { .. } => "tman_reply",
-            Wire::MigrationRequest { .. } => "migration_request",
-            Wire::MigrationReply { .. } => "migration_reply",
-            Wire::MigrationAck { .. } => "migration_ack",
-            Wire::BackupPush { .. } => "backup_push",
-            Wire::Heartbeat => "heartbeat",
-            Wire::Query { .. } => "query",
-            Wire::QueryReply { .. } => "query_reply",
-            Wire::QueryBatch { .. } => "query_batch",
-            Wire::QueryReplyBatch { .. } => "query_reply_batch",
+            Wire::QueryBatch { .. } | Wire::QueryReplyBatch { .. } => Channel::Query,
         }
     }
 }
 
-/// Everything a driver can feed into [`crate::node::ProtocolNode::on_event`].
+/// Everything a driver can feed into [`crate::node::ProtocolNode::on_event_into`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Event<P> {
     /// A wire message arrived from `from`.
@@ -447,10 +463,7 @@ impl<P> BufPool<P> {
             Wire::BackupPush { points, .. } => self.put_points(points),
             Wire::QueryBatch { queries } => self.put_queries(queries),
             Wire::QueryReplyBatch { replies } => self.put_replies(replies),
-            Wire::MigrationAck { .. }
-            | Wire::Heartbeat
-            | Wire::Query { .. }
-            | Wire::QueryReply { .. } => {}
+            Wire::MigrationAck { .. } | Wire::Heartbeat => {}
         }
     }
 
@@ -499,16 +512,13 @@ impl<P> Default for BufPool<P> {
 
 /// A reusable buffer the phase pipeline pushes [`Effect`]s into.
 ///
-/// The `on_tick`/`on_phase`/`on_event` family used to return a freshly
-/// allocated `Vec<Effect>` per call — two to six allocations per node per
-/// round, which dominates the cycle engine's hot loop past ~50k nodes. A
-/// batch driver now owns **one** sink, clears it between activations, and
-/// passes it to the `*_into` twins; the effect and id scratch capacities
-/// warm up over the first round and are reused for the rest of the run.
-///
-/// The legacy `Vec`-returning entry points still exist as thin wrappers
-/// (they build a throwaway sink), so occasional-use drivers — the
-/// threaded runtime, the TCP cluster — compile unchanged.
+/// Every `on_*_into` entry point of [`crate::node::ProtocolNode`] pushes
+/// its effects here instead of returning a fresh `Vec<Effect>` — two to
+/// six allocations per node per round, which would dominate the cycle
+/// engine's hot loop past ~50k nodes. A driver owns **one** sink, clears
+/// it between activations, and passes it to every call; the effect and
+/// id scratch capacities warm up over the first round and are reused for
+/// the rest of the run.
 #[derive(Debug)]
 pub struct EffectSink<P> {
     effects: Vec<Effect<P>>,
@@ -570,12 +580,6 @@ impl<P> EffectSink<P> {
     /// Removes and yields the queued effects, keeping capacity.
     pub fn drain(&mut self) -> std::vec::Drain<'_, Effect<P>> {
         self.effects.drain(..)
-    }
-
-    /// Consumes the sink into the queued effects (the compat wrappers'
-    /// return value).
-    pub fn into_effects(self) -> Vec<Effect<P>> {
-        self.effects
     }
 
     /// Borrows the id scratch out of the sink (empty, capacity warm).
@@ -726,7 +730,7 @@ mod tests {
     }
 
     #[test]
-    fn kinds_and_channels_are_consistent() {
+    fn channels_are_consistent() {
         let wires: Vec<Wire<f64>> = vec![
             Wire::RpsRequest {
                 descriptors: vec![],
@@ -748,18 +752,6 @@ mod tests {
                 removed_ids: 0,
             },
             Wire::Heartbeat,
-            Wire::Query {
-                qid: 9,
-                origin: NodeId::new(3),
-                key: 0.5,
-                ttl: 16,
-                hops: 2,
-            },
-            Wire::QueryReply {
-                qid: 9,
-                hops: 4,
-                pos: 0.25,
-            },
             Wire::QueryBatch {
                 queries: vec![QueryItem {
                     qid: 11,
@@ -777,22 +769,6 @@ mod tests {
                 }],
             },
         ];
-        let kinds: Vec<&str> = wires.iter().map(Wire::kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                "rps_request",
-                "tman_reply",
-                "migration_reply",
-                "migration_ack",
-                "backup_push",
-                "heartbeat",
-                "query",
-                "query_reply",
-                "query_batch",
-                "query_reply_batch"
-            ]
-        );
         assert_eq!(wires[0].channel(), Channel::PeerSampling);
         assert_eq!(wires[1].channel(), Channel::Topology);
         assert_eq!(wires[2].channel(), Channel::Migration);
@@ -801,8 +777,6 @@ mod tests {
         assert_eq!(wires[5].channel(), Channel::Heartbeat);
         assert_eq!(wires[6].channel(), Channel::Query);
         assert_eq!(wires[7].channel(), Channel::Query);
-        assert_eq!(wires[8].channel(), Channel::Query);
-        assert_eq!(wires[9].channel(), Channel::Query);
     }
 
     #[test]

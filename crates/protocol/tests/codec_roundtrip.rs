@@ -1,20 +1,18 @@
-//! Property coverage for the wire codec: every encodable [`Wire`],
-//! [`Event`] and [`Effect`] value round-trips bit-exactly through
-//! `encode_* → decode_*`, and every encoding is self-delimiting (no
+//! Property coverage for the wire codec: every encodable [`Wire`] and
+//! [`Event`] value round-trips bit-exactly through
+//! `encode_*_into → decode_*`, and every encoding is self-delimiting (no
 //! prefix of a valid encoding decodes).
 //!
-//! This suite is the guard rail the codec exists for: a future socket
-//! transport gets framed bytes whose fidelity was pinned here long before
-//! the first connection is opened.
+//! This suite is the guard rail the codec exists for: the TCP transport
+//! frames bytes whose fidelity is pinned here.
 
 use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_membership::{Descriptor, NodeId};
-use polystyrene_protocol::codec::{
-    decode_effect, decode_event, decode_wire, encode_effect, encode_event, encode_wire,
-};
-use polystyrene_protocol::wire::{Channel, Effect, Event, QueryItem, QueryReplyItem, Wire};
+use polystyrene_protocol::codec::{decode_event, decode_wire, encode_event_into, encode_wire_into};
+use polystyrene_protocol::wire::{Channel, Event, QueryItem, QueryReplyItem, Wire};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::cell::RefCell;
 
 type Pos = [f64; 2];
 
@@ -69,7 +67,7 @@ fn reply_item_strategy() -> impl Strategy<Value = QueryReplyItem<Pos>> {
 fn wire_strategy() -> impl Strategy<Value = Wire<Pos>> {
     (
         (
-            0..=12u8,
+            0..=10u8,
             vec(descriptor_strategy(), 0..6),
             vec(descriptor_strategy(), 0..6),
         ),
@@ -114,19 +112,7 @@ fn wire_strategy() -> impl Strategy<Value = Wire<Pos>> {
                     removed_ids: b,
                 },
                 8 => Wire::Heartbeat,
-                9 => Wire::Query {
-                    qid: a as u64,
-                    origin: NodeId::new(b as u64),
-                    key: pos,
-                    ttl: busy as u32 + 1,
-                    hops: a as u32 % 64,
-                },
-                10 => Wire::QueryReply {
-                    qid: b as u64,
-                    hops: a as u32 % 64,
-                    pos,
-                },
-                11 => Wire::QueryBatch { queries },
+                9 => Wire::QueryBatch { queries },
                 _ => Wire::QueryReplyBatch { replies },
             },
         )
@@ -154,19 +140,15 @@ fn event_strategy() -> impl Strategy<Value = Event<Pos>> {
         })
 }
 
-fn effect_strategy() -> impl Strategy<Value = Effect<Pos>> {
-    (0..2u8, 0..10_000u64, wire_strategy(), channel_strategy()).prop_map(
-        |(tag, id, wire, channel)| match tag {
-            0 => Effect::Probe {
-                peer: NodeId::new(id),
-                channel,
-            },
-            _ => Effect::Send {
-                to: NodeId::new(id),
-                wire,
-            },
-        },
-    )
+thread_local! {
+    static BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on the one encode buffer every case reuses, the way a send
+/// loop reuses its frame buffer: each `encode_*_into` must fully replace
+/// whatever the previous case left behind.
+fn with_buf<T>(f: impl FnOnce(&mut Vec<u8>) -> T) -> T {
+    BUF.with_borrow_mut(f)
 }
 
 proptest! {
@@ -174,34 +156,32 @@ proptest! {
 
     #[test]
     fn wire_round_trips(wire in wire_strategy()) {
-        let bytes = encode_wire(&wire);
-        let back = decode_wire::<Pos>(&bytes);
+        let back = with_buf(|bytes| {
+            encode_wire_into(bytes, &wire);
+            decode_wire::<Pos>(bytes)
+        });
         prop_assert_eq!(back.as_ref(), Ok(&wire));
     }
 
     #[test]
     fn event_round_trips(event in event_strategy()) {
-        let bytes = encode_event(&event);
-        let back = decode_event::<Pos>(&bytes);
+        let back = with_buf(|bytes| {
+            encode_event_into(bytes, &event);
+            decode_event::<Pos>(bytes)
+        });
         prop_assert_eq!(back.as_ref(), Ok(&event));
     }
 
     #[test]
-    fn effect_round_trips(effect in effect_strategy()) {
-        let bytes = encode_effect(&effect);
-        let back = decode_effect::<Pos>(&bytes);
-        prop_assert_eq!(back.as_ref(), Ok(&effect));
-    }
-
-    #[test]
     fn no_strict_prefix_of_a_wire_decodes(wire in wire_strategy()) {
-        let bytes = encode_wire(&wire);
-        for cut in 0..bytes.len() {
-            prop_assert!(
-                decode_wire::<Pos>(&bytes[..cut]).is_err(),
-                "strict prefix of {} bytes decoded", cut
-            );
-        }
+        let decoded_prefix = with_buf(|bytes| {
+            encode_wire_into(bytes, &wire);
+            (0..bytes.len()).find(|&cut| decode_wire::<Pos>(&bytes[..cut]).is_ok())
+        });
+        prop_assert!(
+            decoded_prefix.is_none(),
+            "strict prefix of {:?} bytes decoded", decoded_prefix
+        );
     }
 
     #[test]
@@ -211,8 +191,10 @@ proptest! {
             from_pos: x,
             guests: std::vec![DataPoint::new(PointId::new(id), -x)],
         };
-        let bytes = encode_wire(&wire);
-        let back = decode_wire::<f64>(&bytes);
+        let back = with_buf(|bytes| {
+            encode_wire_into(bytes, &wire);
+            decode_wire::<f64>(bytes)
+        });
         prop_assert_eq!(back.as_ref(), Ok(&wire));
     }
 }
@@ -236,8 +218,6 @@ proptest! {
         let _ = decode_wire::<[f64; 2]>(&bytes);
         let _ = decode_event::<f64>(&bytes);
         let _ = decode_event::<[f64; 2]>(&bytes);
-        let _ = decode_effect::<f64>(&bytes);
-        let _ = decode_effect::<[f64; 2]>(&bytes);
     }
 
     #[test]
@@ -250,12 +230,13 @@ proptest! {
         // the deep decoder paths (mid-sequence tags, length prefixes,
         // truncation boundaries) that uniformly random bytes rarely
         // reach past the version check.
-        let mut bytes = encode_wire(&wire);
-        let at = at % bytes.len();
-        bytes[at] ^= 1 << bit;
-        let _ = decode_wire::<Pos>(&bytes);
-        let _ = decode_event::<Pos>(&bytes);
-        let _ = decode_effect::<Pos>(&bytes);
+        with_buf(|bytes| {
+            encode_wire_into(bytes, &wire);
+            let at = at % bytes.len();
+            bytes[at] ^= 1 << bit;
+            let _ = decode_wire::<Pos>(bytes);
+            let _ = decode_event::<Pos>(bytes);
+        });
     }
 
     #[test]
@@ -263,8 +244,11 @@ proptest! {
         event in event_strategy(),
         cut in 0..4096usize,
     ) {
-        let bytes = encode_event(&event);
-        let cut = cut % bytes.len();
-        prop_assert!(decode_event::<Pos>(&bytes[..cut]).is_err());
+        let decoded = with_buf(|bytes| {
+            encode_event_into(bytes, &event);
+            let cut = cut % bytes.len();
+            decode_event::<Pos>(&bytes[..cut]).is_ok()
+        });
+        prop_assert!(!decoded);
     }
 }

@@ -5,8 +5,8 @@
 //! migration, heartbeat bookkeeping — lives in `polystyrene-protocol`
 //! and is byte-for-byte the same state machine the cycle simulator
 //! drives. This thread only does IO: it feeds incoming mailbox messages
-//! to [`ProtocolNode::on_event`], fires [`ProtocolNode::on_tick`] on a
-//! wall-clock timer, and executes the returned effects over its
+//! to [`ProtocolNode::on_event_into`], fires [`ProtocolNode::on_tick_into`]
+//! on a wall-clock timer, and executes the pushed effects over its
 //! [`NodeFabric`] — probes answered from the fabric's address book,
 //! sends mapped to transport deliveries (in-process mailboxes or framed
 //! TCP, the loop cannot tell), failed deliveries reported back as
@@ -213,12 +213,11 @@ impl<S: MetricSpace> NodeRuntime<S> {
     fn handle(&mut self, message: Message<S::Point>) {
         match message {
             Message::Protocol { from, wire } => {
-                // Self-addressed query wires are gateway injections from
+                // Self-addressed query batches are gateway injections from
                 // the cluster's offer path — the only self-sends in the
                 // system. Handling one frees its admission-gauge slots.
                 if from == self.node.id() {
                     let injected = match &wire {
-                        Wire::Query { .. } => 1,
                         Wire::QueryBatch { queries } => queries.len(),
                         _ => 0,
                     };

@@ -14,9 +14,7 @@
 //! flight.
 
 use polystyrene_membership::NodeId;
-use polystyrene_protocol::{QueryItem, Wire, TRAFFIC_SEED_TAG};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use polystyrene_protocol::{GatewayDraw, QueryItem, Wire};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -27,13 +25,11 @@ use std::sync::Arc;
 /// one offer instead of banking minutes of stale queries.
 pub const GATEWAY_INGRESS_BOUND: usize = 256;
 
-/// The offer-side state of a live cluster's traffic plane: the
-/// dedicated gateway-draw entropy stream (`seed ^ TRAFFIC_SEED_TAG`,
-/// the tag every substrate shares), the qid counter, the cumulative
-/// shed count, and the reusable grouping scratch.
+/// The offer-side state of a live cluster's traffic plane: the gateway
+/// draws every substrate shares, the cumulative shed count, and the
+/// reusable grouping scratch.
 pub struct GatewayTraffic {
-    rng: StdRng,
-    next_qid: u64,
+    gateways: GatewayDraw,
     shed: u64,
     /// `(gateway, qid, key index)` scratch, reused across offers;
     /// sorting it groups co-destined queries while the qid component
@@ -45,8 +41,7 @@ impl GatewayTraffic {
     /// Fresh state off the cluster seed.
     pub fn new(seed: u64) -> Self {
         Self {
-            rng: StdRng::seed_from_u64(seed ^ TRAFFIC_SEED_TAG),
-            next_qid: 0,
+            gateways: GatewayDraw::new(seed),
             shed: 0,
             batch: Vec::new(),
         }
@@ -73,25 +68,9 @@ impl GatewayTraffic {
         gauge_of: impl Fn(NodeId) -> Option<Arc<AtomicUsize>>,
         mut deliver: impl FnMut(NodeId, Wire<P>),
     ) {
-        if alive.is_empty() || keys.is_empty() {
-            return;
-        }
-        let mut batch = std::mem::take(&mut self.batch);
-        batch.clear();
-        for idx in 0..keys.len() {
-            let gateway = alive[self.rng.random_range(0..alive.len())];
-            self.next_qid += 1;
-            batch.push((gateway, self.next_qid, idx));
-        }
-        batch.sort_unstable();
-        let mut at = 0;
-        while at < batch.len() {
-            let gateway = batch[at].0;
-            let mut end = at;
-            while end < batch.len() && batch[end].0 == gateway {
-                end += 1;
-            }
-            let len = end - at;
+        self.gateways.draw(keys.len(), alive, &mut self.batch);
+        for (gateway, items) in GatewayDraw::batches(&self.batch, keys, ttl) {
+            let len = items.len();
             // Load-then-add is racy only against the node's own
             // decrements, which can only make more room; the single
             // offer path is serialized by the caller's lock, so the
@@ -104,23 +83,12 @@ impl GatewayTraffic {
                 _ => false,
             };
             if admitted {
-                let queries: Vec<QueryItem<P>> = batch[at..end]
-                    .iter()
-                    .map(|&(_, qid, idx)| QueryItem {
-                        qid,
-                        origin: gateway,
-                        key: keys[idx].clone(),
-                        ttl,
-                        hops: 0,
-                    })
-                    .collect();
+                let queries: Vec<QueryItem<P>> = items.collect();
                 deliver(gateway, Wire::QueryBatch { queries });
             } else {
                 self.shed += len as u64;
             }
-            at = end;
         }
-        self.batch = batch;
     }
 }
 
@@ -154,7 +122,7 @@ mod tests {
                     assert!(queries.windows(2).all(|w| w[0].qid < w[1].qid));
                     delivered.push((to, queries.len()));
                 }
-                other => panic!("expected a query batch, got {}", other.kind()),
+                other => panic!("expected a query batch, got {other:?}"),
             },
         );
         assert_eq!(traffic.shed(), 0);

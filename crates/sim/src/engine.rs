@@ -38,13 +38,13 @@
 //! activation order, same RNG draws, same delivery order — which is
 //! pinned by the golden-history fingerprint suites.
 
-use crate::cost::{CostModel, RoundCost};
 use crate::metrics::{reference_homogeneity, RoundMetrics};
-use crate::pool::NodePool;
 use polystyrene::prelude::*;
 use polystyrene_membership::{Descriptor, NodeId, SharedFailureDetector};
+use polystyrene_protocol::cost::{CostModel, RoundCost};
+use polystyrene_protocol::pool::NodePool;
 use polystyrene_protocol::{
-    Channel, Effect, EffectSink, Event, Phase, ProtocolConfig, ProtocolNode, QueryItem, Wire,
+    Channel, Effect, EffectSink, Event, GatewayDraw, Phase, ProtocolConfig, ProtocolNode, Wire,
 };
 use polystyrene_space::MetricSpace;
 use polystyrene_topology::rank::GridIndex;
@@ -53,7 +53,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Below this many alive nodes the engine skips building the spatial-grid
@@ -61,16 +60,10 @@ use std::collections::VecDeque;
 /// more than the scan it replaces.
 const GRID_INDEX_MIN_NODES: usize = 256;
 
-/// Seed tag of the application-traffic entropy stream. Query gateways are
-/// drawn from a dedicated RNG seeded with `config.seed ^ TRAFFIC_SEED_TAG`
-/// so offering load never advances the protocol stream — seeded histories
-/// stay bit-identical with traffic on or off ("traffic" in ASCII).
-pub use polystyrene_protocol::TRAFFIC_SEED_TAG;
-
 /// Engine-level configuration: protocol parameters plus simulation knobs.
 ///
 /// Defaults are the paper's evaluation settings (Sec. IV-A).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EngineConfig {
     /// T-Man parameters (view cap 100, m = 20, ψ = 5).
     pub tman: TManConfig,
@@ -186,11 +179,9 @@ pub struct Engine<S: MetricSpace> {
     queue: VecDeque<(NodeId, Effect<S::Point>)>,
     /// Reusable activation-order buffer of [`Engine::run_phase`].
     order: Vec<NodeId>,
-    /// Application-traffic entropy stream: gateway draws come from here,
-    /// never from the protocol `rng` (see [`TRAFFIC_SEED_TAG`]).
-    traffic_rng: StdRng,
-    /// Query-id counter for [`Engine::offer_traffic`].
-    next_qid: u64,
+    /// Gateway draws of [`Engine::offer_traffic`], on their own stream,
+    /// never the protocol `rng`.
+    gateways: GatewayDraw,
     /// Reusable `(gateway, qid, key index)` scratch of the batched
     /// [`Engine::offer_traffic`] grouping pass.
     traffic_batch: Vec<(NodeId, u64, usize)>,
@@ -297,8 +288,7 @@ impl<S: MetricSpace> Engine<S> {
             sink: EffectSink::new(),
             queue: VecDeque::new(),
             order: Vec::new(),
-            traffic_rng: StdRng::seed_from_u64(config.seed ^ TRAFFIC_SEED_TAG),
-            next_qid: 0,
+            gateways: GatewayDraw::new(config.seed),
             traffic_batch: Vec::new(),
         }
     }
@@ -411,43 +401,17 @@ impl<S: MetricSpace> Engine<S> {
     /// no entropy at all, so the protocol stream is untouched.
     ///
     /// Co-gateway queries share one [`Wire::QueryBatch`] envelope: every
-    /// gateway is drawn first, in key order (the exact rng stream and
-    /// qid assignment of the per-wire path), then the round's queries
-    /// are grouped per gateway and injected as one event each.
+    /// gateway is drawn first, in key order, with qids assigned in that
+    /// order; then the round's queries are grouped per gateway and
+    /// injected as one event each.
     pub fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
-        if self.pool.alive_count() == 0 {
-            return;
-        }
         let mut batch = std::mem::take(&mut self.traffic_batch);
-        batch.clear();
-        {
-            let alive = self.pool.alive_ids();
-            let n = alive.len();
-            for idx in 0..keys.len() {
-                let gateway = alive[self.traffic_rng.random_range(0..n)];
-                self.next_qid += 1;
-                batch.push((gateway, self.next_qid, idx));
-            }
-        }
-        // Group by gateway; qids ascend within a gateway, so each batch
-        // carries its queries in the order the per-wire path issued them.
-        batch.sort_unstable();
+        self.gateways
+            .draw(keys.len(), self.pool.alive_ids(), &mut batch);
         let mut sink = std::mem::take(&mut self.sink);
-        let mut at = 0;
-        while at < batch.len() {
-            let gateway = batch[at].0;
+        for (gateway, items) in GatewayDraw::batches(&batch, keys, ttl) {
             let mut queries = sink.take_queries();
-            while at < batch.len() && batch[at].0 == gateway {
-                let (_, qid, idx) = batch[at];
-                queries.push(QueryItem {
-                    qid,
-                    origin: gateway,
-                    key: keys[idx].clone(),
-                    ttl,
-                    hops: 0,
-                });
-                at += 1;
-            }
+            queries.extend(items);
             sink.clear();
             let node = self.pool.get_mut(gateway).expect("alive id");
             node.on_event_into(
@@ -464,44 +428,6 @@ impl<S: MetricSpace> Engine<S> {
         }
         self.sink = sink;
         self.traffic_batch = batch;
-    }
-
-    /// The pre-batching per-wire offer path: one [`Wire::Query`] event
-    /// per key, dispatched to completion individually. Kept as a paired
-    /// baseline — the batched path must deliver the identical outcome
-    /// set (pinned by a lab test) and beat this on wall-clock (measured
-    /// by `fig_traffic_scale`).
-    pub fn offer_traffic_unbatched(&mut self, keys: &[S::Point], ttl: u32) {
-        if self.pool.alive_count() == 0 {
-            return;
-        }
-        let mut sink = std::mem::take(&mut self.sink);
-        for key in keys {
-            let n = self.pool.alive_count();
-            let gateway = self.pool.alive_ids()[self.traffic_rng.random_range(0..n)];
-            self.next_qid += 1;
-            let qid = self.next_qid;
-            sink.clear();
-            let node = self.pool.get_mut(gateway).expect("alive id");
-            node.on_event_into(
-                Event::Message {
-                    from: gateway,
-                    wire: Wire::Query {
-                        qid,
-                        origin: gateway,
-                        key: key.clone(),
-                        ttl,
-                        hops: 0,
-                    },
-                },
-                &mut self.rng,
-                &mut sink,
-            );
-            if !sink.is_empty() {
-                self.dispatch(gateway, &mut sink);
-            }
-        }
-        self.sink = sink;
     }
 
     /// Drains every alive node's gateway-side traffic counters, appending

@@ -8,7 +8,6 @@
 //! * [`metrics`] — the paper's five metrics (proximity, homogeneity,
 //!   reference homogeneity / reshaping time, data points per node,
 //!   message cost);
-//! * [`cost`] — wire-cost accounting in the paper's units;
 //! * [`snapshot`] — point-cloud captures for the visual figures;
 //! * [`report`] — ASCII tables, terminal plots and CSV output.
 //!
@@ -57,20 +56,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cost;
 pub mod engine;
 pub mod metrics;
-pub mod pool;
 pub mod report;
 pub mod snapshot;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::cost::{CostModel, RoundCost};
     pub use crate::engine::{Engine, EngineConfig};
     pub use crate::metrics::{reference_homogeneity, reshaping_time, RoundMetrics};
     pub use crate::report::{ascii_plot, render_table, series_rows, write_csv};
     pub use crate::snapshot::Snapshot;
+    pub use polystyrene_protocol::cost::{CostModel, RoundCost};
     pub use polystyrene_protocol::scenario::{PaperScenario, Scenario, ScenarioEvent};
 }
 

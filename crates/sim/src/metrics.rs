@@ -8,12 +8,10 @@
 //! * **reference homogeneity `H`** — the ideal-distribution bound
 //!   `H = 1/2 · sqrt(A/|N|)` used to define the **reshaping time**;
 //! * **data points per node** — memory overhead (guests + ghosts);
-//! * **message cost** — see [`crate::cost`].
-
-use serde::{Deserialize, Serialize};
+//! * **message cost** — see [`polystyrene_protocol::cost`].
 
 /// All per-round observables the experiment harness records.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RoundMetrics {
     /// Simulation round the sample was taken at (after the round ran).
     pub round: u32,
