@@ -371,12 +371,9 @@ impl<S: MetricSpace> NetSim<S> {
     /// scheduled as a *single* self-addressed kernel event at the
     /// current instant — the start of the next [`Self::step`] — and then
     /// forward hop-by-hop through node views as (batched) messages on
-    /// the traffic fabric. Gateways are drawn first, in key order
-    /// against one borrow of the alive list, with qids assigned in that
-    /// order, so grouping changes the envelope count, never a query's
-    /// gateway or id. Gateway choice and query transit draw from
-    /// dedicated streams, so enabling traffic leaves the protocol history
-    /// byte-identical.
+    /// the traffic fabric. Gateways come from [`GatewayDraw`] and query
+    /// transit from the traffic fabric's own stream, so enabling traffic
+    /// leaves the protocol history byte-identical.
     pub fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
         let mut batch = std::mem::take(&mut self.traffic_batch);
         self.gateways

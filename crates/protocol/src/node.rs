@@ -931,8 +931,6 @@ impl<S: MetricSpace> ProtocolNode<S> {
                 }
             }
             Wire::QueryBatch { mut queries } => {
-                // A query arriving at its own origin with zero hops is
-                // the gateway injection: register it before routing.
                 // Forwards regroup by next hop and terminal answers by
                 // origin, so one envelope in yields at most one envelope
                 // per destination out; each item keeps its own hop
@@ -947,6 +945,8 @@ impl<S: MetricSpace> ProtocolNode<S> {
                     hops,
                 } in queries.drain(..)
                 {
+                    // A query at its own origin with zero hops is the
+                    // gateway injection: register it before routing.
                     if origin == self.id && hops == 0 {
                         self.traffic_offered += 1;
                         self.pending_queries.insert(qid, self.clock);

@@ -31,9 +31,8 @@ pub const GATEWAY_INGRESS_BOUND: usize = 256;
 pub struct GatewayTraffic {
     gateways: GatewayDraw,
     shed: u64,
-    /// `(gateway, qid, key index)` scratch, reused across offers;
-    /// sorting it groups co-destined queries while the qid component
-    /// keeps each gateway's run in issue order.
+    /// `(gateway, qid, key index)` scratch of [`GatewayDraw::draw`],
+    /// reused across offers.
     batch: Vec<(NodeId, u64, usize)>,
 }
 

@@ -397,13 +397,9 @@ impl<S: MetricSpace> Engine<S> {
     /// Offers one query per key through a random alive gateway each, and
     /// routes them to completion within the call — the cycle model's
     /// atomic-exchange semantics applied to the traffic plane. Gateways
-    /// are drawn from the dedicated traffic RNG and query handling draws
-    /// no entropy at all, so the protocol stream is untouched.
-    ///
-    /// Co-gateway queries share one [`Wire::QueryBatch`] envelope: every
-    /// gateway is drawn first, in key order, with qids assigned in that
-    /// order; then the round's queries are grouped per gateway and
-    /// injected as one event each.
+    /// come from [`GatewayDraw`] and query handling draws no entropy at
+    /// all, so the protocol stream is untouched. Co-gateway queries
+    /// share one [`Wire::QueryBatch`], injected as one event.
     pub fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
         let mut batch = std::mem::take(&mut self.traffic_batch);
         self.gateways
