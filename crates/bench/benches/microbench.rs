@@ -10,6 +10,9 @@ use polystyrene::prelude::*;
 use polystyrene_lab::TrafficLoad;
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_netsim::prelude::{LinkProfile, NetSim, NetSimConfig};
+use polystyrene_protocol::{
+    Effect, EffectSink, Event, ProtocolConfig, ProtocolNode, QueryItem, Wire,
+};
 use polystyrene_sim::prelude::{Engine, EngineConfig};
 use polystyrene_space::diameter::{diameter_exact, diameter_sampled, diameter_two_sweep};
 use polystyrene_space::medoid::{medoid_index, medoid_index_sampled};
@@ -171,6 +174,72 @@ fn bench_tman_exchange(c: &mut Criterion) {
     group.finish();
 }
 
+/// Greedy next-hop selection over a converged 100-entry T-Man view, one
+/// single-query batch per iteration (handled, then its effects recycled
+/// into the sink's pool). `fresh_key` cycles through more keys than the
+/// node's next-hop memo holds, so every lookup scans the view;
+/// `repeated_key` asks for the same key under an unchanged view and
+/// position, which the memo answers.
+fn bench_query_forwarding(c: &mut Criterion) {
+    let space = Torus2::new(80.0, 40.0);
+    let view: Vec<Descriptor<[f64; 2]>> = random_points(100, 12)
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| Descriptor::new(NodeId::new(i as u64 + 1), p))
+        .collect();
+    let mut node = ProtocolNode::new(
+        NodeId::new(0),
+        space,
+        ProtocolConfig::default(),
+        PolyState::empty_at([40.0, 20.0]),
+        Vec::new(),
+        view,
+    );
+    assert_eq!(node.tman.view_len(), 100);
+    let keys = random_points(1024, 13);
+    let gateway = NodeId::new(1 << 40);
+    let mut sink = EffectSink::new();
+    let mut rng = StdRng::seed_from_u64(14);
+    let mut effects = Vec::new();
+    let mut route = |node: &mut ProtocolNode<Torus2>, key: [f64; 2]| {
+        let mut queries = sink.take_queries();
+        queries.push(QueryItem {
+            qid: 1,
+            origin: gateway,
+            key,
+            ttl: 8,
+            hops: 0,
+        });
+        let wire = Wire::QueryBatch { queries };
+        node.on_event_into(
+            Event::Message {
+                from: gateway,
+                wire,
+            },
+            &mut rng,
+            &mut sink,
+        );
+        effects.extend(sink.drain());
+        for effect in effects.drain(..) {
+            if let Effect::Send { wire, .. } = effect {
+                sink.recycle_wire(wire);
+            }
+        }
+    };
+    let mut group = c.benchmark_group("query_forwarding");
+    group.bench_function("view100_fresh_key", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % keys.len();
+            route(&mut node, keys[i]);
+        });
+    });
+    group.bench_function("view100_repeated_key", |b| {
+        b.iter(|| route(&mut node, keys[0]));
+    });
+    group.finish();
+}
+
 /// Steady-state allocation gate for the event kernel's activation loop.
 ///
 /// After warm-up, a netsim round should allocate almost nothing: the
@@ -298,6 +367,7 @@ criterion_group!(
     bench_split,
     bench_migration_exchange,
     bench_tman_exchange,
+    bench_query_forwarding,
     bench_engine_round,
     bench_netsim_round
 );

@@ -15,7 +15,7 @@ use polystyrene_sim::prelude::*;
 use polystyrene_space::prelude::*;
 use polystyrene_space::shapes;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn small_lab_config(seed: u64) -> LabConfig {
     let p = PaperScenario::small();
@@ -328,9 +328,24 @@ fn traffic_load_flows_on_the_live_cluster() {
     let scenario: Scenario<[f64; 2]> = Scenario::new(10);
     let mut load = TrafficLoad::new(shapes::torus_grid(4, 4, 1.0), 8, 0.8, 6, 3);
     let trace = run_experiment_with_traffic(substrate.as_mut(), &scenario, Some(&mut load));
-    let offered: u64 = trace.observations.iter().map(|o| o.traffic.offered).sum();
-    let delivered: u64 = trace.observations.iter().map(|o| o.traffic.delivered).sum();
-    let dropped: u64 = trace.observations.iter().map(|o| o.traffic.dropped).sum();
+    // A round awaits ticks, not the offers: the last rounds' injections
+    // may still sit in gateway mailboxes, unpublished. Quiet rounds, with
+    // no new offers, run until the slowest node is ten ticks further on,
+    // so the nodes handle their mailboxes and publish before the totals
+    // are read.
+    let settle_to = substrate.observe().ticks + 10;
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while substrate.observe().ticks < settle_to && Instant::now() < deadline {
+        substrate.step();
+    }
+    let settled = substrate.drain_traffic();
+    let (mut offered, mut delivered, mut dropped) =
+        (settled.offered, settled.delivered, settled.dropped);
+    for t in trace.observations.iter().map(|o| &o.traffic) {
+        offered += t.offered;
+        delivered += t.delivered;
+        dropped += t.dropped;
+    }
     assert!(offered >= 8 * 9, "wall-clock rounds lag offers: {offered}");
     assert!(delivered + dropped <= offered);
     assert!(

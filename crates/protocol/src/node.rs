@@ -75,6 +75,70 @@ fn backup_pool_size(replication: usize) -> usize {
     replication * 4 + 8
 }
 
+/// Entries a node's [`NextHopMemo`] holds. Once view positions go stale
+/// after a failure, queries bounce between the same few nodes, so most
+/// lookups repeat a recent key: serving 4000 queries a round through a
+/// quarter kill on 4096 netsim nodes, 0.79 of lookups hit at 8 entries
+/// and 0.81 at 16, which would double the memo's memory in every node.
+const NEXT_HOP_MEMO_CAP: usize = 8;
+
+/// A node's most recent greedy next hops, by key.
+///
+/// A next hop is a pure function of the T-Man view, the node's own
+/// position and the key, so a memoized answer stays exact while the view
+/// has the [`TMan::generation`] and the node the position recorded here.
+/// Any change to either clears the memo before the next lookup.
+#[derive(Debug)]
+struct NextHopMemo<P> {
+    generation: u64,
+    pos: P,
+    /// `(key, next hop)` pairs, at most [`NEXT_HOP_MEMO_CAP`]. Allocated
+    /// with the node, so the first query a node routes allocates nothing.
+    hops: Vec<(P, Option<NodeId>)>,
+    /// The slot the next insertion overwrites once `hops` is full.
+    oldest: usize,
+}
+
+impl<P: Clone + PartialEq> NextHopMemo<P> {
+    fn new(generation: u64, pos: &P) -> Self {
+        Self {
+            generation,
+            pos: pos.clone(),
+            hops: Vec::with_capacity(NEXT_HOP_MEMO_CAP),
+            oldest: 0,
+        }
+    }
+
+    /// The memoized next hop for `key` under the given view generation
+    /// and own position, or `None` on a miss. A memo filled under another
+    /// generation or position is cleared first.
+    fn get(&mut self, generation: u64, pos: &P, key: &P) -> Option<Option<NodeId>> {
+        if self.generation != generation || self.pos != *pos {
+            self.generation = generation;
+            self.pos.clone_from(pos);
+            self.hops.clear();
+            self.oldest = 0;
+            return None;
+        }
+        self.hops
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|&(_, hop)| hop)
+    }
+
+    /// Records `key`'s next hop, evicting the oldest entry when full.
+    fn insert(&mut self, key: &P, hop: Option<NodeId>) {
+        if self.hops.len() < NEXT_HOP_MEMO_CAP {
+            self.hops.push((key.clone(), hop));
+        } else {
+            let slot = &mut self.hops[self.oldest];
+            slot.0.clone_from(key);
+            slot.1 = hop;
+            self.oldest = (self.oldest + 1) % NEXT_HOP_MEMO_CAP;
+        }
+    }
+}
+
 /// Bookkeeping of the one in-flight migration exchange (Sec. III-F).
 #[derive(Clone, Debug)]
 struct PendingMigration {
@@ -148,6 +212,8 @@ pub struct ProtocolNode<S: MetricSpace> {
     traffic_samples: Vec<(u32, u64)>,
     /// Pending queries written off by lazy timeout since the last drain.
     traffic_dropped: u64,
+    /// Recent greedy next hops (see [`ProtocolNode::next_hop`]).
+    next_hops: NextHopMemo<S::Point>,
 }
 
 impl<S: MetricSpace> ProtocolNode<S> {
@@ -171,6 +237,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
         rps.bootstrap(rps_contacts);
         let mut tman = TMan::new(space.clone(), config.tman);
         tman.integrate(id, &poly.pos, &tman_contacts);
+        let next_hops = NextHopMemo::new(tman.generation(), &poly.pos);
         Self {
             id,
             space,
@@ -187,6 +254,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
             traffic_offered: 0,
             traffic_samples: Vec::new(),
             traffic_dropped: 0,
+            next_hops,
         }
     }
 
@@ -332,17 +400,46 @@ impl<S: MetricSpace> ProtocolNode<S> {
         }
     }
 
-    /// The view entry strictly closer to `key` than this node itself —
-    /// the next hop of greedy query forwarding. Deterministic (pure
-    /// argmin over the T-Man view, no entropy) and strictly improving,
-    /// so routes terminate without a visited set.
+    /// The next hop of greedy query forwarding: [`Self::closer_view_entry`]
+    /// answered from the node's [`NextHopMemo`] when the same key was
+    /// routed under the same view and position.
+    fn next_hop(&mut self, key: &S::Point) -> Option<NodeId> {
+        let generation = self.tman.generation();
+        if let Some(hop) = self.next_hops.get(generation, &self.poly.pos, key) {
+            return hop;
+        }
+        let hop = self.closer_view_entry(key);
+        self.next_hops.insert(key, hop);
+        hop
+    }
+
+    /// The first view entry at the least distance to `key`, among those
+    /// strictly closer to it than this node itself. Deterministic: a pure
+    /// argmin over the T-Man view, no entropy.
+    ///
+    /// Each hop improves only by the *view's* positions, which go stale
+    /// as nodes move: a query can come back to a node it already visited
+    /// and cycle until its TTL runs out. The TTL, not the rule, is what
+    /// bounds a route.
+    ///
+    /// Squared distances prefilter the scan. The bound starts at the
+    /// node's own squared distance and drops to each new best's; an entry
+    /// above it cannot be strictly closer, because squaring (and, the
+    /// other way, a square root) never reverses an order. Survivors are
+    /// confirmed on [`MetricSpace::distance`], so ties and strict
+    /// improvement resolve exactly as a plain scan would.
     fn closer_view_entry(&self, key: &S::Point) -> Option<NodeId> {
         let own = self.space.distance(&self.poly.pos, key);
+        let mut bound_sq = self.space.distance_sq(&self.poly.pos, key);
         let mut best: Option<(NodeId, f64)> = None;
         for entry in self.tman.view_entries() {
-            let d = self.space.distance(&entry.pos, key);
-            if d < own && best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((entry.id, d));
+            let d_sq = self.space.distance_sq(&entry.pos, key);
+            if d_sq <= bound_sq {
+                let d = self.space.distance(&entry.pos, key);
+                if d < own && best.is_none_or(|(_, bd)| d < bd) {
+                    best = Some((entry.id, d));
+                    bound_sq = d_sq;
+                }
             }
         }
         best.map(|(id, _)| id)
@@ -931,12 +1028,15 @@ impl<S: MetricSpace> ProtocolNode<S> {
                 }
             }
             Wire::QueryBatch { mut queries } => {
-                // Forwards regroup by next hop and terminal answers by
-                // origin, so one envelope in yields at most one envelope
-                // per destination out; each item keeps its own hop
-                // accounting.
+                // Forwards regroup by next hop, so one envelope in yields
+                // at most one envelope per next hop out, plus one reply
+                // envelope: every envelope carries the queries of one
+                // origin (drivers inject one batch per gateway, and
+                // forwarding only regroups the items of one envelope).
+                // Each item keeps its own hop accounting.
                 let mut forwards = sink.take_query_groups();
-                let mut replies = sink.take_reply_groups();
+                let mut replies = sink.take_replies();
+                let mut reply_to = None;
                 for QueryItem {
                     qid,
                     origin,
@@ -951,8 +1051,13 @@ impl<S: MetricSpace> ProtocolNode<S> {
                         self.traffic_offered += 1;
                         self.pending_queries.insert(qid, self.clock);
                     }
-                    match self.closer_view_entry(&key) {
-                        Some(next) if hops < ttl => {
+                    let next = if hops < ttl {
+                        self.next_hop(&key)
+                    } else {
+                        None
+                    };
+                    match next {
+                        Some(next) => {
                             let slot = match forwards.iter().position(|(to, _)| *to == next) {
                                 Some(i) => i,
                                 None => {
@@ -971,23 +1076,18 @@ impl<S: MetricSpace> ProtocolNode<S> {
                         // Terminal: nobody in the view is closer (greedy
                         // minimum — ideally the key's true closest node)
                         // or the budget ran out. Answer the gateway.
-                        _ => {
-                            if origin == self.id {
-                                self.complete_query(qid, hops);
-                            } else {
-                                let slot = match replies.iter().position(|(to, _)| *to == origin) {
-                                    Some(i) => i,
-                                    None => {
-                                        replies.push((origin, sink.take_replies()));
-                                        replies.len() - 1
-                                    }
-                                };
-                                replies[slot].1.push(QueryReplyItem {
-                                    qid,
-                                    hops,
-                                    pos: self.poly.pos.clone(),
-                                });
-                            }
+                        None if origin == self.id => self.complete_query(qid, hops),
+                        None => {
+                            debug_assert!(
+                                reply_to.is_none_or(|to| to == origin),
+                                "a query batch carries the queries of one origin"
+                            );
+                            reply_to = Some(origin);
+                            replies.push(QueryReplyItem {
+                                qid,
+                                hops,
+                                pos: self.poly.pos.clone(),
+                            });
                         }
                     }
                 }
@@ -999,13 +1099,13 @@ impl<S: MetricSpace> ProtocolNode<S> {
                     });
                 }
                 sink.put_query_groups(forwards);
-                for (to, replies) in replies.drain(..) {
-                    sink.push(Effect::Send {
+                match reply_to {
+                    Some(to) => sink.push(Effect::Send {
                         to,
                         wire: Wire::QueryReplyBatch { replies },
-                    });
+                    }),
+                    None => sink.put_replies(replies),
                 }
-                sink.put_reply_groups(replies);
             }
             Wire::QueryReplyBatch { mut replies } => {
                 for QueryReplyItem { qid, hops, .. } in replies.drain(..) {
@@ -1559,6 +1659,26 @@ mod tests {
         let (offered, delivered, dropped) = a.take_traffic(&mut samples);
         assert_eq!((offered, delivered, dropped), (1, 1, 0));
         assert_eq!(samples, vec![(2, 2)]);
+    }
+
+    #[test]
+    fn next_hop_ties_go_to_the_earlier_entry_and_never_to_an_equal() {
+        // Node 0 sits 3 from the key (3, 0); entries 1 and 2 are both
+        // exactly 1 from it. Whichever the view holds first wins, on a
+        // fresh scan and on the memoized repeat alike.
+        for (first, second) in [(1, 2), (2, 1)] {
+            let entry = |id| desc(id, 3.0, if id == 1 { 1.0 } else { -1.0 });
+            let mut a = founder(0, 0.0, vec![entry(first), entry(second)]);
+            for _ in 0..2 {
+                assert_eq!(a.next_hop(&[3.0, 0.0]), Some(NodeId::new(first)));
+            }
+        }
+        // Both entries are exactly as close to the key (2, 0) as node 0
+        // itself: neither improves on it, so the query stops here.
+        let mut a = founder(0, 0.0, vec![desc(3, 2.0, 2.0), desc(4, 4.0, 0.0)]);
+        for _ in 0..2 {
+            assert_eq!(a.next_hop(&[2.0, 0.0]), None);
+        }
     }
 
     /// Delivers one in-flight query hop to `node` and returns its single

@@ -136,7 +136,9 @@ pub enum Wire<P> {
     /// the fingerprint-pinned protocol schedules. The envelope amortizes
     /// per-message dispatch (one kernel event, one frame, one mailbox
     /// send); each item keeps its own `hops`/`ttl`, so regrouping by
-    /// next hop preserves per-query hop accounting exactly.
+    /// next hop preserves per-query hop accounting exactly. All items
+    /// share one `origin`: drivers inject one batch per gateway, and a
+    /// node regroups only the items of the envelope it is handling.
     QueryBatch {
         /// The batched queries, in offer/forward order.
         queries: Vec<QueryItem<P>>,
@@ -536,8 +538,6 @@ pub struct EffectSink<P> {
     /// outer slots survive between activations; the inner buffers come
     /// from and return to the pool).
     query_groups: Vec<(NodeId, Vec<QueryItem<P>>)>,
-    /// Scratch for grouping a query batch's terminal replies by origin.
-    reply_groups: Vec<(NodeId, Vec<QueryReplyItem<P>>)>,
 }
 
 impl<P> EffectSink<P> {
@@ -548,7 +548,6 @@ impl<P> EffectSink<P> {
             ids: Vec::new(),
             pool: BufPool::new(),
             query_groups: Vec::new(),
-            reply_groups: Vec::new(),
         }
     }
 
@@ -662,23 +661,6 @@ impl<P> EffectSink<P> {
             self.pool.put_queries(buf);
         }
         self.query_groups = groups;
-    }
-
-    /// Borrows the per-origin reply grouping scratch (empty, outer
-    /// capacity warm). Return it with [`EffectSink::put_reply_groups`].
-    pub fn take_reply_groups(&mut self) -> Vec<(NodeId, Vec<QueryReplyItem<P>>)> {
-        let mut groups = std::mem::take(&mut self.reply_groups);
-        groups.clear();
-        groups
-    }
-
-    /// Hands the reply grouping scratch back, recycling any inner
-    /// buffers still attached to it.
-    pub fn put_reply_groups(&mut self, mut groups: Vec<(NodeId, Vec<QueryReplyItem<P>>)>) {
-        for (_, buf) in groups.drain(..) {
-            self.pool.put_replies(buf);
-        }
-        self.reply_groups = groups;
     }
 
     /// Salvages the payload buffers of a terminal wire message (see

@@ -11,6 +11,12 @@
 //! itself, and stop when there is none or `hops == ttl`. Every query's
 //! path, fate and hop count must match its walk, and every gateway's
 //! offered, delivered and pending counts must follow from the walks.
+//! Every envelope in flight must carry the queries of one origin, and
+//! every reply envelope must go to that origin.
+//!
+//! A second proptest drives one node through random view, position and
+//! query operations and checks that its memoized next hop always equals
+//! a fresh scan.
 
 use polystyrene::prelude::PolyState;
 use polystyrene_membership::{Descriptor, NodeId};
@@ -167,6 +173,26 @@ proptest! {
             .collect();
         let mut sink = EffectSink::new();
         while let Some((from, to, wire)) = queue.pop_front() {
+            // Every envelope carries the queries of one origin, and a
+            // reply envelope goes to exactly that origin: a node keeps one
+            // reply buffer per envelope it handles.
+            match &wire {
+                Wire::QueryBatch { queries } => {
+                    let origin = queries.first().map(|q| q.origin);
+                    prop_assert!(
+                        queries.iter().all(|q| Some(q.origin) == origin),
+                        "batch to {:?} mixes origins",
+                        to
+                    );
+                }
+                Wire::QueryReplyBatch { replies } => {
+                    prop_assert!(!replies.is_empty(), "empty reply batch to {:?}", to);
+                    for r in replies {
+                        prop_assert_eq!(to, expected[&r.qid].0, "qid {} answered to a non-gateway", r.qid);
+                    }
+                }
+                other => prop_assert!(false, "unexpected wire {:?}", other),
+            }
             if !nodes.contains_key(&to) {
                 if let Wire::QueryBatch { queries } = &wire {
                     for q in queries {
@@ -185,12 +211,11 @@ proptest! {
                 }
                 Wire::QueryReplyBatch { replies } => {
                     for r in replies {
-                        prop_assert_eq!(to, expected[&r.qid].0, "qid {} answered to a non-gateway", r.qid);
                         prop_assert_eq!(r.pos, nodes[&from].poly.pos);
                         fates.insert(r.qid, Fate::Replied { by: from, hops: r.hops });
                     }
                 }
-                other => prop_assert!(false, "unexpected wire {:?}", other),
+                _ => unreachable!("rejected above"),
             }
             let node = nodes.get_mut(&to).expect("present");
             node.on_event_into(Event::Message { from, wire }, &mut rng, &mut sink);
@@ -230,6 +255,116 @@ proptest! {
             samples.sort_unstable();
             want.sort_unstable();
             prop_assert_eq!(samples, want, "gateway {:?} samples", gateway);
+        }
+    }
+}
+
+/// Where `node` sends a one-query batch for `key` with one hop of budget
+/// left: the next hop it forwards to, or `None` if it answers instead.
+fn routed_hop(node: &mut ProtocolNode<Euclidean2>, key: Pos, rng: &mut StdRng) -> Option<NodeId> {
+    let gateway = NodeId::new(u64::MAX);
+    let queries = vec![QueryItem {
+        qid: 1,
+        origin: gateway,
+        key,
+        ttl: 1,
+        hops: 0,
+    }];
+    let mut sink = EffectSink::new();
+    let wire = Wire::QueryBatch { queries };
+    node.on_event_into(
+        Event::Message {
+            from: gateway,
+            wire,
+        },
+        rng,
+        &mut sink,
+    );
+    match sink.effects() {
+        [Effect::Send {
+            to,
+            wire: Wire::QueryBatch { .. },
+        }] => Some(*to),
+        [Effect::Send {
+            to,
+            wire: Wire::QueryReplyBatch { .. },
+        }] if *to == gateway => None,
+        other => panic!("unexpected effects {other:?}"),
+    }
+}
+
+/// A point on a coarse grid half the time, so exact distance ties
+/// between entries, and between an entry and the node, are common.
+fn tie_prone_pos(rng: &mut StdRng) -> Pos {
+    if rng.random_bool(0.5) {
+        [rng.random_range(0..5) as f64, rng.random_range(0..5) as f64]
+    } else {
+        random_pos(rng)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The node's next-hop memo never answers differently from a plain
+    /// scan of the view, whatever happens to the view and the node's own
+    /// position between queries, and however often keys repeat.
+    #[test]
+    fn memoized_next_hop_matches_a_fresh_scan(seed in 0..u64::MAX, ops in 1..200usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let id = NodeId::new(0);
+        let mut truth: BTreeMap<NodeId, Pos> = (1..24)
+            .map(|i| (NodeId::new(i), tie_prone_pos(&mut rng)))
+            .collect();
+        let mut config = ProtocolConfig::default();
+        config.tman.view_cap = 8;
+        let mut node = ProtocolNode::new(
+            id,
+            Euclidean2,
+            config,
+            PolyState::empty_at(tie_prone_pos(&mut rng)),
+            Vec::new(),
+            Vec::new(),
+        );
+        let keys: Vec<Pos> = (0..4).map(|_| tie_prone_pos(&mut rng)).collect();
+        let peer = |rng: &mut StdRng| NodeId::new(rng.random_range(1..24));
+        for _ in 0..ops {
+            match rng.random_range(0..10) {
+                0 => {
+                    let p = peer(&mut rng);
+                    let d = Descriptor::new(p, truth[&p]);
+                    node.tman.integrate(id, &node.poly.pos, &[d]);
+                }
+                1 => {
+                    let incoming: Vec<Descriptor<Pos>> = (0..rng.random_range(2..8))
+                        .map(|_| {
+                            let p = peer(&mut rng);
+                            Descriptor::with_age(p, tie_prone_pos(&mut rng), rng.random_range(0..3))
+                        })
+                        .collect();
+                    node.tman.integrate(id, &node.poly.pos, &incoming);
+                }
+                2 => {
+                    let failed = peer(&mut rng);
+                    node.tman.purge_failed(&|p| p == failed);
+                }
+                3 => {
+                    let p = peer(&mut rng);
+                    truth.insert(p, tie_prone_pos(&mut rng));
+                    node.tman.refresh_positions(|p| truth.get(&p));
+                }
+                4 => node.tman.begin_round(),
+                5 => node.poly.pos = tie_prone_pos(&mut rng),
+                _ => {
+                    let key = if rng.random_bool(0.8) {
+                        keys[rng.random_range(0..keys.len())]
+                    } else {
+                        tie_prone_pos(&mut rng)
+                    };
+                    let want = next_hop(&node, &key);
+                    prop_assert_eq!(routed_hop(&mut node, key, &mut rng), want, "key {:?}", key);
+                }
+            }
         }
     }
 }

@@ -81,6 +81,9 @@ pub struct TMan<S: MetricSpace> {
     space: S,
     config: TManConfig,
     view: Vec<Descriptor<S::Point>>,
+    /// Bumped by every write that may change the view's entries, their
+    /// order or their positions (ages aside); see [`TMan::generation`].
+    generation: u64,
 }
 
 impl<S: MetricSpace> TMan<S> {
@@ -95,7 +98,17 @@ impl<S: MetricSpace> TMan<S> {
             space,
             config,
             view: Vec::new(),
+            generation: 0,
         }
+    }
+
+    /// A counter that changes whenever the view's ids, order or positions
+    /// may have changed. Two reads that return the same value bracket a
+    /// view whose ids and positions are unchanged, so a caller can cache
+    /// anything computed from them (ages excepted) and check this to know
+    /// when to recompute.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// The protocol parameters.
@@ -136,6 +149,9 @@ impl<S: MetricSpace> TMan<S> {
                 }
                 entry.age = 0;
             }
+        }
+        if changed > 0 {
+            self.generation += 1;
         }
         changed
     }
@@ -208,6 +224,7 @@ impl<S: MetricSpace> TopologyConstruction<S> for TMan<S> {
     }
 
     fn integrate(&mut self, self_id: NodeId, pos: &S::Point, incoming: &[Descriptor<S::Point>]) {
+        self.generation += 1;
         // The once-per-round random-contact fold is a single descriptor;
         // the view is always deduplicated and within its cap (every write
         // below maintains that), so it can skip the merge pipeline.
@@ -231,7 +248,11 @@ impl<S: MetricSpace> TopologyConstruction<S> for TMan<S> {
     fn purge_failed(&mut self, is_failed: &dyn Fn(NodeId) -> bool) -> usize {
         let before = self.view.len();
         self.view.retain(|d| !is_failed(d.id));
-        before - self.view.len()
+        let removed = before - self.view.len();
+        if removed > 0 {
+            self.generation += 1;
+        }
+        removed
     }
 
     fn view_len(&self) -> usize {
@@ -451,9 +472,21 @@ mod tests {
             &[0.0, 0.0],
             &[d(1, 1.0, 0.0), d(2, 2.0, 0.0), d(3, 3.0, 0.0)],
         );
+        let generation = t.generation();
+        assert_eq!(t.purge_failed(&|_| false), 0);
+        assert_eq!(
+            t.generation(),
+            generation,
+            "a no-op purge keeps the generation"
+        );
         let removed = t.purge_failed(&|id| id.as_u64() % 2 == 1);
         assert_eq!(removed, 2);
         assert_eq!(t.view_len(), 1);
+        assert_ne!(
+            t.generation(),
+            generation,
+            "a removal changes the generation"
+        );
     }
 
     #[test]
@@ -468,12 +501,18 @@ mod tests {
                          // Node 1 moved, node 2 stayed, node 3 is unknown to the lookup.
         let moved = [5.0, 0.0];
         let stayed = [2.0, 0.0];
+        let generation = t.generation();
         let changed = t.refresh_positions(|id| match id.as_u64() {
             1 => Some(&moved),
             2 => Some(&stayed),
             _ => None,
         });
         assert_eq!(changed, 1);
+        assert_ne!(
+            t.generation(),
+            generation,
+            "a moved entry changes the generation"
+        );
         let view = t.view_entries();
         let e1 = view.iter().find(|e| e.id == NodeId::new(1)).unwrap();
         assert_eq!(e1.pos, [5.0, 0.0]);
@@ -482,14 +521,26 @@ mod tests {
         assert_eq!(e2.age, 0, "confirmed entries are fresh too");
         let e3 = view.iter().find(|e| e.id == NodeId::new(3)).unwrap();
         assert_eq!(e3.age, 1, "unknown entries keep aging");
+        let generation = t.generation();
+        assert_eq!(
+            t.refresh_positions(|id| (id.as_u64() == 1).then_some(&moved)),
+            0
+        );
+        assert_eq!(t.generation(), generation, "confirming positions keeps it");
     }
 
     #[test]
     fn begin_round_ages_entries() {
         let mut t = TMan::new(Euclidean2, small_config());
         t.integrate(NodeId::new(0), &[0.0, 0.0], &[d(1, 1.0, 0.0)]);
+        let generation = t.generation();
         t.begin_round();
         assert_eq!(t.view_entries()[0].age, 1);
+        assert_eq!(
+            t.generation(),
+            generation,
+            "ageing leaves ids and positions"
+        );
     }
 
     /// End-to-end convergence: a small ring of nodes running T-Man over a
